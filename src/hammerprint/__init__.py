@@ -11,6 +11,7 @@ Modules:
 * ``registry``: the fingerprint dataset, identification, persistence.
 * ``evalharness``: reliability, uniqueness, identification, multi-host,
   and measurement-tradeoff experiments.
+* ``codec``: the ``key=value`` line codec shared by the profile texts.
 * ``cli``: the ``hammerprint`` command.
 """
 

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass, replace
 from enum import Enum
 
+from .codec import profile_errors, profile_lines
 from .geometry import DramGeometry
 
 
@@ -57,8 +58,9 @@ class HammerPattern:
         if kind == PatternKind.N_SIDED and n < 3:
             raise ChallengeError("n-sided pattern needs at least 3 aggressors")
         if kind == PatternKind.NON_UNIFORM:
-            if self.temporal is None or len(self.temporal) != n:
-                raise ChallengeError("non-uniform pattern needs one temporal triple per aggressor")
+            if n == 0 or self.temporal is None or len(self.temporal) != n:
+                raise ChallengeError("non-uniform pattern needs aggressors, "
+                                     "each with one temporal triple")
         elif self.temporal is not None:
             raise ChallengeError(f"{kind.value} pattern carries no temporal parameters")
 
@@ -79,22 +81,14 @@ def build_pattern(kind: PatternKind | str, n: int, first_offset: int, rng_seed: 
     same layout and draw their temporal triples from ``rng_seed``.
     """
     kind = PatternKind(kind)
-    if kind == PatternKind.ONE_LOCATION:
-        if n != 1:
-            raise ChallengeError("one-location pattern takes exactly 1 aggressor")
-        return HammerPattern(kind, (first_offset,))
     if kind == PatternKind.SINGLE_SIDED:
         if n != 2:
             raise ChallengeError("single-sided pattern takes exactly 2 aggressors")
         # far apart on purpose: no shared victim
         return HammerPattern(kind, (first_offset, first_offset + 4))
     offsets = tuple(first_offset + 2 * i for i in range(n))
-    if kind == PatternKind.DOUBLE_SIDED:
-        if n != 2:
-            raise ChallengeError("double-sided pattern takes exactly 2 aggressors")
-        return HammerPattern(kind, offsets)
-    if kind == PatternKind.N_SIDED:
-        return HammerPattern(kind, offsets)
+    if kind != PatternKind.NON_UNIFORM:
+        return HammerPattern(kind, offsets)  # checks the count for its kind
     rng = random.Random(rng_seed)
     temporal = tuple(
         (rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0), rng.uniform(0.5, 2.0))
@@ -136,6 +130,8 @@ class DramChallenge:
 
     def __post_init__(self):
         object.__setattr__(self, "bank_range", tuple(self.bank_range))
+        if not self.bank_range:
+            raise ChallengeError("bank_range must be nonempty")
         if self.banks_measured != len(self.bank_range):
             raise ChallengeError("banks_measured must equal the bank_range length")
         if len(set(self.bank_range)) != len(self.bank_range):
@@ -185,24 +181,20 @@ def encode_challenge(ch: DramChallenge) -> str:
 
 
 def parse_challenge(text: str) -> DramChallenge:
-    fields: dict[str, str] = {}
-    temporal: list[tuple[float, float, float]] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ChallengeError(f"bad challenge line: {line!r}")
-        key, val = line.split("=", 1)
-        if key == "temporal":
-            f, p, a = val.split(",")
-            temporal.append((float(f), float(p), float(a)))
-        else:
-            fields[key] = val
-    try:
-        kind = PatternKind(fields["hammering_pattern"])
-        offsets = tuple(int(x) for x in fields["aggressor_offsets"].split(","))
-        pattern = HammerPattern(kind, offsets, tuple(temporal) if temporal else None)
+    with profile_errors(ChallengeError, "challenge profile"):
+        fields: dict[str, str] = {}
+        temporal: list[tuple[float, float, float]] = []
+        for key, val in profile_lines(text):
+            if val is None:
+                raise ChallengeError(f"bad challenge line: {key!r}")
+            if key == "temporal":
+                f, p, a = val.split(",")
+                temporal.append((float(f), float(p), float(a)))
+            else:
+                fields[key] = val
+        pattern = HammerPattern(PatternKind(fields["hammering_pattern"]),
+                                tuple(int(x) for x in fields["aggressor_offsets"].split(",")),
+                                tuple(temporal) if temporal else None)
         return DramChallenge(
             bank_range=tuple(int(b) for b in fields["bank_range"].split(",")),
             first_aggressor_offset=int(fields["first_aggressor_offset"]),
@@ -211,8 +203,6 @@ def parse_challenge(text: str) -> DramChallenge:
             banks_measured=int(fields["banks_measured"]),
             measurements=int(fields["measurements"]),
         )
-    except KeyError as e:
-        raise ChallengeError(f"challenge profile missing field {e.args[0]!r}") from None
 
 
 def challenge_hash(ch: DramChallenge) -> str:

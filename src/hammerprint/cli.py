@@ -134,8 +134,9 @@ def cmd_fingerprint(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CHALLENGE_MISMATCH
     fp = simdevice.run_query(dev, ch, args.seed, query_time=args.timestamp)
+    text = encode_fingerprint(fp)  # may refuse the header; nothing written then
     with open(args.out, "w") as fh:
-        fh.write(encode_fingerprint(fp))
+        fh.write(text)
     print(f"wrote {args.out}: {len(fp.locations)} bit flips")
     if not fp.locations:
         print("warning: query produced zero flips (TRR suppressed the pattern?)",

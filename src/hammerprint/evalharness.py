@@ -17,14 +17,11 @@ from .challenge import DramChallenge, challenge_hash, default_challenge
 from .fingerprint import Fingerprint, jaccard_prime, union_of
 from .registry import (
     FingerprintDataset,
-    IdentifyConfig,
     enroll,
     generate_new_id,
     identify,
 )
 from .simdevice import SimDevice, deterministic_noise, new_sim_device, run_query
-
-WORK_UNITS_PER_ACCESS = 1  # one unit per aggressor activation pass
 
 
 class ExperimentError(ValueError):
@@ -43,8 +40,6 @@ class ExperimentReport:
     def __post_init__(self):
         if len(self.rows) != len(self.values):
             raise ExperimentError("one value per row required")
-        if self.values and not (self.min <= self.mean <= self.max):
-            raise ExperimentError("summary statistics inconsistent")
 
     @property
     def mean(self) -> float:
@@ -58,10 +53,10 @@ class ExperimentReport:
     def max(self) -> float:
         return max(self.values)
 
-    def to_delimited(self, sep: str = ",") -> str:
-        lines = [sep.join(self.columns)]
+    def to_delimited(self) -> str:
+        lines = [",".join(self.columns)]
         for row in self.rows:
-            lines.append(sep.join(_cell(v) for v in row))
+            lines.append(",".join(_cell(v) for v in row))
         return "\n".join(lines) + "\n"
 
     def to_table(self, max_rows: int | None = None) -> str:
@@ -201,17 +196,16 @@ class DetectionResult:
             values=values,
         )
 
-    def matrix_delimited(self, sep: str = ",") -> str:
-        lines = [sep.join(["query"] + self.enrolled_ids)]
+    def matrix_delimited(self) -> str:
+        lines = [",".join(["query"] + self.enrolled_ids)]
         for k, row in enumerate(self.matrix):
-            lines.append(sep.join([f"q{k + 1}"] + [f"{v:.6g}" for v in row]))
+            lines.append(",".join([f"q{k + 1}"] + [f"{v:.6g}" for v in row]))
         return "\n".join(lines) + "\n"
 
 
 def detection_experiment(n_devices: int = 8, enroll_queries: int = 3,
                          seed: int = 0, replace: int = 0,
-                         witness_index: int | None = 0,
-                         cfg: IdentifyConfig = IdentifyConfig()) -> DetectionResult:
+                         witness_index: int | None = 0) -> DetectionResult:
     """Enroll a fleet, then re-detect it under permuted labels.
 
     Phase two queries each device once with fresh virtual attributes
@@ -258,7 +252,7 @@ def detection_experiment(n_devices: int = 8, enroll_queries: int = 3,
         label = f"probe-{position + 1}"
         query = run_query(devices[idx], ch, rng.getrandbits(64),
                           device_hint=_virtual_attrs(rng, label))
-        result = identify(dataset, query, cfg)
+        result = identify(dataset, query)
         matrix.append([jaccard_prime(query, dataset.records[i].union())
                        for i in enrolled_ids])
         if result.decision == "new":
@@ -299,34 +293,33 @@ class MultiHostResult:
             rows=rows, values=values,
         )
 
-    def matrix_delimited(self, sep: str = ",") -> str:
+    def matrix_delimited(self) -> str:
         names = [f"host{i + 1}" for i in range(len(self.host_seeds))]
-        lines = [sep.join(["new\\db"] + names)]
+        lines = [",".join(["new\\db"] + names)]
         for name, row in zip(names, self.matrix):
-            lines.append(sep.join([name] + [f"{v:.6g}" for v in row]))
+            lines.append(",".join([name] + [f"{v:.6g}" for v in row]))
         lines.append("")
-        lines.append(sep.join(["host"] + names))
-        lines.append(sep.join(["mean_flips"] + [f"{v:.6g}" for v in self.mean_flips]))
+        lines.append(",".join(["host"] + names))
+        lines.append(",".join(["mean_flips"] + [f"{v:.6g}" for v in self.mean_flips]))
         return "\n".join(lines) + "\n"
 
 
 def one_dimm_multi_host(dimm_seed: int, host_seeds: list[int],
-                        ch: DramChallenge | None = None, seed: int = 0,
-                        enroll_queries: int = 3) -> MultiHostResult:
+                        seed: int = 0) -> MultiHostResult:
     """Fingerprint the same DIMM seed under several host seeds.
 
-    The overlap table pairs each host's fresh query against each host's
+    Each host enrolls three queries of the reference challenge. The
+    overlap table pairs each host's fresh query against each host's
     database union; per-host mean flip counts come along for the ride.
     """
     if len(host_seeds) < 2:
         raise ExperimentError("need at least two host seeds")
-    ch = ch if ch is not None else default_challenge()
+    ch = default_challenge()
     rng = random.Random(f"{seed}:hosts")
     databases, new_queries, mean_flips = [], [], []
     for host_seed in host_seeds:
         dev = new_sim_device(dimm_seed, host_seed)
-        queries = [run_query(dev, ch, rng.getrandbits(64))
-                   for _ in range(enroll_queries)]
+        queries = [run_query(dev, ch, rng.getrandbits(64)) for _ in range(3)]
         fresh = run_query(dev, ch, rng.getrandbits(64))
         databases.append(union_of(queries))
         new_queries.append(fresh)
@@ -359,7 +352,7 @@ def measurements_tradeoff(dev: SimDevice, ch: DramChallenge,
             others = [x for k, x in enumerate(queries) if k != i]
             rels.append(jaccard_prime(q, union_of(others)))
         mean_rel = sum(rels) / len(rels)
-        work = m * ch.banks_measured * n_aggressors * WORK_UNITS_PER_ACCESS
+        work = m * ch.banks_measured * n_aggressors
         rows.append((m, work, mean_rel, min(rels), max(rels)))
         values.append(mean_rel)
     return ExperimentReport(

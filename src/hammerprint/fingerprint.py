@@ -109,7 +109,9 @@ def encode_fingerprint(fp: Fingerprint) -> str:
     """Canonical text form; bit-exact so digests are reproducible.
 
     Header lines, then one sorted location per line as
-    ``b<bank>:r<row>:c<column>:i<bit>``.
+    ``b<bank>:r<row>:c<column>:i<bit>``. Newlines in the hint become
+    spaces; any other header value that would not decode unchanged (a
+    line break, trailing whitespace) raises FingerprintError.
     """
     lines = [f"challenge={fp.challenge_hash}"]
     if fp.query_time is not None:
@@ -117,6 +119,10 @@ def encode_fingerprint(fp: Fingerprint) -> str:
     if fp.device_hint is not None:
         hint = fp.device_hint.replace("\n", " ")
         lines.append(f"hint={hint}")
+    for line in lines:
+        # a header must decode to the value written: one line, nothing to strip
+        if line.splitlines() != [line] or line.strip() != line:
+            raise FingerprintError(f"header would not decode unchanged: {line!r}")
     for loc in sorted(fp.locations):
         lines.append(f"b{loc.bank}:r{loc.row}:c{loc.column}:i{loc.bit}")
     return "\n".join(lines) + "\n"

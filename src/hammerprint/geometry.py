@@ -13,6 +13,7 @@ import statistics
 from dataclasses import dataclass
 
 from . import gf2
+from .codec import parse_bit_range, profile_errors, profile_lines
 
 
 class GeometryError(ValueError):
@@ -121,10 +122,9 @@ def check_consistent(mapping: AddressMapping, geom: DramGeometry) -> None:
         raise MappingError("row bit range width does not match rows_per_bank")
     if mapping.column_bits[1] - mapping.column_bits[0] != geom.column_bits:
         raise MappingError("column bit range width does not match columns_per_row")
-    top = 1 << geom.address_bits
     if mapping.row_bits[1] > geom.address_bits or mapping.column_bits[1] > geom.address_bits:
         raise MappingError("row/column ranges exceed address_bits")
-    if any(f >= top for f in mapping.bank_functions):
+    if max(mapping.bank_functions, default=0) >> geom.address_bits:
         raise MappingError("bank function mask exceeds address_bits")
 
 
@@ -188,23 +188,17 @@ def encode_mapping(mapping: AddressMapping) -> str:
 
 
 def parse_mapping(text: str) -> AddressMapping:
-    funcs: list[int] = []
-    row = col = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("row="):
-            lo, hi = line[4:].split(":")
-            row = (int(lo), int(hi))
-        elif line.startswith("col="):
-            lo, hi = line[4:].split(":")
-            col = (int(lo), int(hi))
-        else:
-            funcs.append(int(line, 16))
-    if row is None or col is None or not funcs:
-        raise MappingError("mapping text needs bank function masks plus row= and col= lines")
-    return AddressMapping(tuple(funcs), row, col)
+    with profile_errors(MappingError, "mapping text"):
+        funcs: list[int] = []
+        ranges: dict[str, tuple[int, int]] = {}
+        for key, val in profile_lines(text):
+            if val is None:
+                funcs.append(int(key, 16))
+            elif key in ("row", "col"):
+                ranges[key] = parse_bit_range(val)
+            else:
+                raise MappingError(f"bad mapping line: {key}={val}")
+        return AddressMapping(tuple(funcs), ranges["row"], ranges["col"])
 
 
 def timing_threshold(samples: list[float]) -> float:
@@ -253,8 +247,10 @@ class ProbeConfig:
     num_bases: int = 16
     partners_per_base: int = 512
     seed: int = 0
-    min_separation: float = 4.0  # mean gap over within-class spread
-    min_good_bases: int = 4
+
+
+MIN_SEPARATION = 4.0  # mean gap over within-class spread
+MIN_GOOD_BASES = 4
 
 
 def recover_bank_functions(oracle, geom: DramGeometry, cfg: ProbeConfig = ProbeConfig()) -> list[int]:
@@ -286,13 +282,13 @@ def recover_bank_functions(oracle, geom: DramGeometry, cfg: ProbeConfig = ProbeC
             statistics.pstdev(hi) if len(hi) > 1 else 0.0,
             1e-12,
         )
-        if (statistics.fmean(hi) - statistics.fmean(lo)) / spread < cfg.min_separation:
+        if (statistics.fmean(hi) - statistics.fmean(lo)) / spread < MIN_SEPARATION:
             continue
         good_bases += 1
         for p, t in zip(partners, lats):
             if t >= thr and p != base:
                 diffs.append(base ^ p)
-    if good_bases < cfg.min_good_bases:
+    if good_bases < MIN_GOOD_BASES:
         raise RecoveryError(
             f"only {good_bases} of {cfg.num_bases} bases showed a usable conflict gap"
         )

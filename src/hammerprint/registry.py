@@ -14,6 +14,7 @@ import re
 import tempfile
 from dataclasses import dataclass, field
 
+from .codec import profile_lines
 from .fingerprint import (
     ChallengeMismatchError,
     Fingerprint,
@@ -70,7 +71,6 @@ class IdentifyConfig:
     """
 
     match_threshold: float = 0.4
-    representative_index: int = 0
     min_similarity: float | None = None
 
     def __post_init__(self):
@@ -122,8 +122,7 @@ def identify(dataset: FingerprintDataset, f_u: Fingerprint,
     candidates = []
     for dev_id in sorted(dataset.records):
         record = dataset.records[dev_id]
-        rep = record.fingerprints[cfg.representative_index]
-        if fingerprint_match(f_u, rep, cfg.match_threshold):
+        if fingerprint_match(f_u, record.representative, cfg.match_threshold):
             candidates.append(record)
 
     if not candidates:
@@ -144,7 +143,13 @@ def identify(dataset: FingerprintDataset, f_u: Fingerprint,
 
 def enroll(dataset: FingerprintDataset, dev_id: str, fp: Fingerprint,
            enrolled_at: str | None = None) -> FingerprintDataset:
-    """Append a fingerprint to a device record, creating the record if new."""
+    """Append a fingerprint to a device record, creating the record if new.
+
+    The id names the device's directory in a saved dataset, so it must be
+    a single path component other than ``.`` and ``..``.
+    """
+    if dev_id in ("", ".", "..") or os.path.basename(dev_id) != dev_id:
+        raise DatasetError(f"device id {dev_id!r} is not a single path component")
     if fp.challenge_hash != dataset.challenge_hash:
         raise ChallengeMismatchError("fingerprint challenge does not match dataset")
     record = dataset.records.get(dev_id)
@@ -158,8 +163,9 @@ def enroll(dataset: FingerprintDataset, dev_id: str, fp: Fingerprint,
 # --- persistence -------------------------------------------------------------
 #
 # Layout: <dir>/dataset.meta plus one fingerprint file per enrolled entry,
-# <dir>/<id>/<k>.fp. Every file lands via write-temp-then-rename so an
-# interrupted save leaves the previous dataset intact.
+# <dir>/<id>/<k>.fp. Each file lands via write-temp-then-rename, so each file
+# is replaced atomically. A whole save is not: an interrupted save can leave
+# some files new and others old, and nothing is fsync'd.
 
 META_NAME = "dataset.meta"
 
@@ -193,12 +199,8 @@ def load_dataset(directory: str) -> FingerprintDataset:
     meta_path = os.path.join(directory, META_NAME)
     if not os.path.exists(meta_path):
         raise DatasetError(f"no dataset at {directory!r} (missing {META_NAME})")
-    challenge = None
     with open(meta_path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("challenge="):
-                challenge = line[len("challenge="):]
+        challenge = dict(profile_lines(fh.read())).get("challenge")
     if not challenge:
         raise DatasetError("dataset.meta lacks a challenge hash")
     dataset = FingerprintDataset(challenge)

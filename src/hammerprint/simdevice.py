@@ -24,9 +24,11 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 from .challenge import DramChallenge, victim_rows
+from .codec import parse_bit_range, profile_errors, profile_lines
 from .fingerprint import FlipLocation, Fingerprint, from_measurements
 from .geometry import (
     AddressMapping,
@@ -128,13 +130,13 @@ class SimDevice:
     def __post_init__(self):
         check_consistent(self.mapping, self.geom)
 
-    @property
+    @cached_property
     def device_key(self) -> int:
         # host mixing as a second PRF stage over the DIMM-stage key
         dimm_key = _prf("dimm", self.dimm_seed)
         return _prf("host", dimm_key, self.host_seed)
 
-    @property
+    @cached_property
     def support_block_start(self) -> int:
         """Start position of this device's susceptible block in every row."""
         positions = self.geom.columns_per_row * 8
@@ -142,7 +144,7 @@ class SimDevice:
         n_slots = positions // block
         return (_prf("slot", self.device_key) % n_slots) * block
 
-    @property
+    @cached_property
     def density_factor(self) -> float:
         """Host-flavored scaling of the susceptible-cell density."""
         u = _prf("density", self.device_key) / 2**64
@@ -303,7 +305,7 @@ def deterministic_noise(noise: NoiseConfig | None = None) -> NoiseConfig:
 # --- device profile serialization -------------------------------------------
 
 def encode_device(dev: SimDevice) -> str:
-    g, n, t = dev.geom, dev.noise, dev.trr
+    g, t = dev.geom, dev.trr
     lines = [
         f"dimm_seed={dev.dimm_seed:#x}",
         f"host_seed={dev.host_seed:#x}",
@@ -317,62 +319,37 @@ def encode_device(dev: SimDevice) -> str:
     lines.append(f"col={dev.mapping.column_bits[0]}:{dev.mapping.column_bits[1]}")
     lines.append(f"trr_enabled={int(t.enabled)}")
     lines.append(f"trr_sampler_size={t.sampler_size}")
-    lines.append(f"p_flip_given_susceptible={n.p_flip_given_susceptible!r}")
-    lines.append(f"susceptibility_density={n.susceptibility_density!r}")
-    lines.append(f"timing_conflict_gap={n.timing_conflict_gap!r}")
-    lines.append(f"timing_sigma={n.timing_sigma!r}")
-    lines.append(f"marginal_fraction={n.marginal_fraction!r}")
-    lines.append(f"marginal_activation={n.marginal_activation!r}")
+    # the noise lines follow NoiseConfig's field order
+    lines += [f"{f.name}={getattr(dev.noise, f.name)!r}" for f in fields(NoiseConfig)]
     return "\n".join(lines) + "\n"
 
 
 def parse_device(text: str) -> SimDevice:
-    fields: dict[str, str] = {}
-    funcs: list[int] = []
-    row = col = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise DeviceError(f"bad device profile line: {line!r}")
-        key, val = line.split("=", 1)
-        if key == "bankfn":
-            funcs.append(int(val, 16))
-        elif key == "row":
-            lo, hi = val.split(":")
-            row = (int(lo), int(hi))
-        elif key == "col":
-            lo, hi = val.split(":")
-            col = (int(lo), int(hi))
-        else:
-            fields[key] = val
-    try:
+    with profile_errors(DeviceError, "device profile"):
+        values: dict[str, str] = {}
+        funcs: list[int] = []
+        for key, val in profile_lines(text):
+            if val is None:
+                raise DeviceError(f"bad device profile line: {key!r}")
+            if key == "bankfn":
+                funcs.append(int(val, 16))
+            else:
+                values[key] = val
         geom = DramGeometry(
-            banks=int(fields["banks"]),
-            rows_per_bank=int(fields["rows_per_bank"]),
-            columns_per_row=int(fields["columns_per_row"]),
-            address_bits=int(fields["address_bits"]),
+            banks=int(values["banks"]),
+            rows_per_bank=int(values["rows_per_bank"]),
+            columns_per_row=int(values["columns_per_row"]),
+            address_bits=int(values["address_bits"]),
         )
-        if row is None or col is None or not funcs:
-            raise DeviceError("device profile lacks mapping lines")
-        mapping = AddressMapping(tuple(funcs), row, col)
+        mapping = AddressMapping(tuple(funcs), parse_bit_range(values["row"]),
+                                 parse_bit_range(values["col"]))
         trr = TrrConfig(
-            enabled=bool(int(fields["trr_enabled"])),
-            sampler_size=int(fields["trr_sampler_size"]),
+            enabled=bool(int(values["trr_enabled"])),
+            sampler_size=int(values["trr_sampler_size"]),
         )
-        noise = NoiseConfig(
-            p_flip_given_susceptible=float(fields["p_flip_given_susceptible"]),
-            susceptibility_density=float(fields["susceptibility_density"]),
-            timing_conflict_gap=float(fields["timing_conflict_gap"]),
-            timing_sigma=float(fields["timing_sigma"]),
-            marginal_fraction=float(fields["marginal_fraction"]),
-            marginal_activation=float(fields["marginal_activation"]),
-        )
+        noise = NoiseConfig(**{f.name: float(values[f.name]) for f in fields(NoiseConfig)})
         return SimDevice(
-            dimm_seed=int(fields["dimm_seed"], 16),
-            host_seed=int(fields["host_seed"], 16),
+            dimm_seed=int(values["dimm_seed"], 16),
+            host_seed=int(values["host_seed"], 16),
             geom=geom, mapping=mapping, trr=trr, noise=noise,
         )
-    except KeyError as e:
-        raise DeviceError(f"device profile missing field {e.args[0]!r}") from None

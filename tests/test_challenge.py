@@ -154,3 +154,6 @@ class TestSerialization:
             parse_challenge("pattern 22\n")
         with pytest.raises(ChallengeError):
             parse_challenge("bank_range=0\n")
+        for bad_value in ("temporal=1,2\n", "bank_range=x\n"):
+            with pytest.raises(ChallengeError):
+                parse_challenge(encode_challenge(default_challenge()) + bad_value)

@@ -85,6 +85,15 @@ class TestFingerprintCommand:
                        "--out", str(tmp_path / "x.fp")])
         assert rc == cli.EXIT_USAGE
 
+    def test_multiline_timestamp_is_usage_error_and_writes_nothing(self, tmp_path,
+                                                                   device_profile, capsys):
+        out = tmp_path / "a.fp"
+        rc = cli.main(["fingerprint", "--device", str(device_profile), "--out", str(out),
+                       "--timestamp", "2024\nb9:r9:c9:i1"])
+        assert rc == cli.EXIT_USAGE
+        assert not out.exists()
+        assert "bit flips" not in capsys.readouterr().out
+
     def test_challenge_geometry_mismatch_is_distinct_exit(self, tmp_path, device_profile):
         # well-formed challenge whose rows exceed the device geometry
         ch = DramChallenge((0,), 1, build_pattern(PatternKind.N_SIDED, 3000, 1),
@@ -144,6 +153,19 @@ class TestEnrollIdentify:
         assert cli.main(["--dataset", ds, "identify", str(other)]) == cli.EXIT_CHALLENGE_MISMATCH
         assert cli.main(["--dataset", ds, "enroll", str(other),
                          "--id", "dev-1"]) == cli.EXIT_CHALLENGE_MISMATCH
+
+    def test_id_that_is_a_path_is_usage_error(self, tmp_path, device_profile, capsys):
+        ds = tmp_path / "ds"
+        fp_path = write_fingerprint(tmp_path, device_profile, "q.fp", 12)
+        assert cli.main(["--dataset", str(ds), "enroll", str(fp_path)]) == 0
+        for bad in ("../escaped", "a/b", "..", "."):
+            rc = cli.main(["--dataset", str(ds), "enroll", str(fp_path), "--id", bad])
+            assert rc == cli.EXIT_USAGE
+        assert not (tmp_path / "escaped").exists()
+        assert sorted(p.name for p in ds.iterdir()) == ["dataset.meta", "dev-1"]
+        capsys.readouterr()
+        assert cli.main(["--dataset", str(ds), "identify", str(fp_path)]) == cli.EXIT_OK
+        assert "matched dev-1" in capsys.readouterr().out
 
     def test_dataset_env_var(self, tmp_path, device_profile, monkeypatch):
         ds = tmp_path / "envds"

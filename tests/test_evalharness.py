@@ -24,6 +24,11 @@ class TestExperimentReport:
         rep = ExperimentReport("t", ("x", "v"), [(1, 0.5), (2, 0.7)], [0.5, 0.7])
         assert rep.min == 0.5 and rep.max == 0.7
         assert rep.min <= rep.mean <= rep.max
+        # constant values whose float mean rounds outside [min, max]
+        for values in ([0.1] * 3, [0.7] * 20):
+            rep = ExperimentReport("x", ("a",), [(v,) for v in values], values)
+            assert rep.min == rep.max == values[0]
+            assert rep.mean == pytest.approx(values[0])
 
     def test_row_value_count_must_agree(self):
         with pytest.raises(ExperimentError):

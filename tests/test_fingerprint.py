@@ -194,3 +194,16 @@ class TestEncoding:
             decode_fingerprint(f"challenge={H}\nx1:r2:c3:i4\n")
         with pytest.raises(FingerprintError):
             decode_fingerprint("b0:r0:c0:i0\n")
+
+    def test_encode_refuses_headers_that_do_not_decode_unchanged(self):
+        for kw in ({"query_time": "2024\nb9:r9:c9:i1"},
+                   {"query_time": "2024\r"},
+                   {"query_time": "2024 "},
+                   {"device_hint": "mac=aa\rb0:r0:c0:i0"},
+                   {"device_hint": "ip=10.0.0.2\n"}):
+            with pytest.raises(FingerprintError):
+                encode_fingerprint(fp({loc(3)}, **kw))
+        # a newline inside the hint still becomes a space, as before
+        text = encode_fingerprint(fp({loc(3)}, device_hint="label=x\nmac=aa"))
+        assert text.splitlines()[1] == "hint=label=x mac=aa"
+        assert decode_fingerprint(text).device_hint == "label=x mac=aa"

@@ -164,6 +164,9 @@ class TestMappingSerialization:
     def test_parse_rejects_incomplete(self):
         with pytest.raises(MappingError):
             parse_mapping("0x40\n")
+        for bad in ("zz\nrow=8:12\ncol=0:6\n", "0x40\nrow=8-12\ncol=0:6\n"):
+            with pytest.raises(MappingError):
+                parse_mapping(bad)
 
 
 class TestTimingThreshold:

@@ -312,3 +312,7 @@ class TestDeviceProfile:
     def test_parse_rejects_missing_fields(self):
         with pytest.raises(DeviceError):
             parse_device("dimm_seed=0x1\n")
+        good = encode_device(new_sim_device(1, 2))
+        for bad_value in ("bankfn=zz\n", "row=1\n", "banks=3\n"):
+            with pytest.raises(DeviceError):
+                parse_device(good + bad_value)
