@@ -105,8 +105,14 @@ def _pairing_values(new_queries: list[Fingerprint],
     union, exhaustively when small enough, otherwise a seeded sample.
 
     With ``exclude_self`` both pools are the same query list and the new
-    query never appears in its own database draw.
+    query never appears in its own database draw. Cases of one
+    combination share its union; unsampled cases come grouped by
+    combination, so each union is built once.
     """
+    if d_size < 1:
+        raise ExperimentError("d_size must be at least 1")
+    if max_cases < 1:
+        raise ExperimentError("max_cases must be at least 1")
     n_db = len(db_queries)
     if d_size > n_db - (1 if exclude_self else 0):
         raise ExperimentError("insufficient queries for the requested database size")
@@ -121,8 +127,10 @@ def _pairing_values(new_queries: list[Fingerprint],
     if len(cases) > max_cases:
         cases = rng.sample(cases, max_cases)
     out = []
+    db_combo = db = None
     for combo, i in cases:
-        db = union_of([db_queries[k] for k in combo])
+        if combo != db_combo:
+            db_combo, db = combo, union_of([db_queries[k] for k in combo])
         out.append((combo, i, jaccard_prime(new_queries[i], db)))
     return out
 

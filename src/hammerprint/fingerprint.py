@@ -11,6 +11,7 @@ query.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
 
@@ -22,24 +23,36 @@ class ChallengeMismatchError(FingerprintError):
     """Operands were produced under different challenges."""
 
 
-@dataclass(frozen=True, order=True)
-class FlipLocation:
+class FlipLocation(tuple):
     """One flipped bit: (bank, row, column byte, bit index 0-7).
 
+    An immutable 4-tuple, so hashing, equality and ordering run in C and
+    a location equals the plain tuple ``(bank, row, column, bit)``.
     Ordering is lexicographic on the fields, which fixes the canonical
-    encoding order.
+    encoding order. Every way of making one (the constructor, copy,
+    pickle) goes through the range checks in ``__new__``.
     """
 
-    bank: int
-    row: int
-    column: int
-    bit: int
+    __slots__ = ()
+    __match_args__ = ("bank", "row", "column", "bit")
 
-    def __post_init__(self):
-        if not 0 <= self.bit <= 7:
-            raise FingerprintError(f"bit index {self.bit} outside 0..7")
-        if min(self.bank, self.row, self.column) < 0:
+    def __new__(cls, bank: int, row: int, column: int, bit: int):
+        if not 0 <= bit <= 7:
+            raise FingerprintError(f"bit index {bit} outside 0..7")
+        if min(bank, row, column) < 0:
             raise FingerprintError("negative location index")
+        return tuple.__new__(cls, (bank, row, column, bit))
+
+    bank = property(itemgetter(0), doc="bank index")
+    row = property(itemgetter(1), doc="row index within the bank")
+    column = property(itemgetter(2), doc="column byte within the row")
+    bit = property(itemgetter(3), doc="bit index within the byte, 0-7")
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return "FlipLocation(bank=%r, row=%r, column=%r, bit=%r)" % tuple(self)
 
 
 @dataclass(frozen=True)
@@ -80,8 +93,7 @@ def jaccard(a: Fingerprint, b: Fingerprint) -> float:
     if not a.locations and not b.locations:
         raise FingerprintError("Jaccard of two empty fingerprints is undefined")
     inter = len(a.locations & b.locations)
-    union = len(a.locations | b.locations)
-    return inter / union
+    return inter / (len(a.locations) + len(b.locations) - inter)
 
 
 def jaccard_prime(s_n: Fingerprint, s_d: Fingerprint) -> float:
@@ -123,8 +135,8 @@ def encode_fingerprint(fp: Fingerprint) -> str:
         # a header must decode to the value written: one line, nothing to strip
         if line.splitlines() != [line] or line.strip() != line:
             raise FingerprintError(f"header would not decode unchanged: {line!r}")
-    for loc in sorted(fp.locations):
-        lines.append(f"b{loc.bank}:r{loc.row}:c{loc.column}:i{loc.bit}")
+    for bank, row, column, bit in sorted(fp.locations):
+        lines.append(f"b{bank}:r{row}:c{column}:i{bit}")
     return "\n".join(lines) + "\n"
 
 

@@ -64,6 +64,12 @@ class TestReliability:
         with pytest.raises(ExperimentError):
             reliability_experiment(dev, default_challenge(), n_queries=3, d_size=3)
 
+    @pytest.mark.parametrize("kw", [{"d_size": 0}, {"d_size": -1}, {"max_cases": 0}])
+    def test_bad_pairing_arguments_rejected(self, kw):
+        dev = new_sim_device(3, 4)
+        with pytest.raises(ExperimentError):
+            reliability_experiment(dev, default_challenge(), n_queries=4, **kw)
+
 
 class TestUniqueness:
     def test_cross_device_values_all_zero(self):
@@ -78,6 +84,14 @@ class TestUniqueness:
         twin = new_sim_device(10, 11)
         with pytest.raises(ExperimentError):
             uniqueness_experiment(dev, twin, default_challenge())
+
+    @pytest.mark.parametrize("kw", [{"d_size": 0}, {"d_size": -1}, {"max_cases": 0},
+                                    {"max_cases": 1}])
+    def test_bad_pairing_arguments_rejected(self, kw):
+        # max_cases is split between the two directions, so 1 leaves 0 each
+        a, b = new_sim_device(10, 11), new_sim_device(12, 13)
+        with pytest.raises(ExperimentError):
+            uniqueness_experiment(a, b, default_challenge(), n_queries=4, **kw)
 
     def test_self_pairing_reproduces_reliability(self):
         # identical machinery scored against the device's own queries
