@@ -32,10 +32,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (simdevice.DeviceError, challenge_mod.ChallengeError,
-            geometry.GeometryError, geometry.MappingError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except ChallengeMismatchError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CHALLENGE_MISMATCH

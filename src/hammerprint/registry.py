@@ -63,15 +63,12 @@ class FingerprintDataset:
 
 @dataclass(frozen=True)
 class IdentifyConfig:
-    """Matching knobs.
+    """Matching knob: the stage-1 Jaccard a candidate must exceed.
 
-    ``min_similarity`` optionally guards the multi-candidate ranking:
-    a top candidate below it is rejected as a new device. Off by default,
-    in which case the best-ranked candidate always wins.
+    The best-ranked candidate always wins; there is no stage-2 floor.
     """
 
     match_threshold: float = 0.4
-    min_similarity: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.match_threshold < 1.0:
@@ -119,25 +116,12 @@ def identify(dataset: FingerprintDataset, f_u: Fingerprint,
     if f_u.challenge_hash != dataset.challenge_hash:
         raise ChallengeMismatchError("fingerprint and dataset use different challenges")
 
-    candidates = []
-    for dev_id in sorted(dataset.records):
-        record = dataset.records[dev_id]
-        if fingerprint_match(f_u, record.representative, cfg.match_threshold):
-            candidates.append(record)
-
+    candidates = [r for _, r in sorted(dataset.records.items())
+                  if fingerprint_match(f_u, r.representative, cfg.match_threshold)]
     if not candidates:
         return IdentifyResult(generate_new_id(dataset), "new")
-    if len(candidates) == 1:
-        record = candidates[0]
-        return IdentifyResult(record.id, "matched", get_similarity(f_u, record))
-
-    ranked = sorted(
-        ((get_similarity(f_u, r), r.id) for r in candidates),
-        key=lambda sr: (-sr[0], sr[1]),
-    )
-    best_sim, best_id = ranked[0]
-    if cfg.min_similarity is not None and best_sim < cfg.min_similarity:
-        return IdentifyResult(generate_new_id(dataset), "new")
+    best_sim, best_id = min(((get_similarity(f_u, r), r.id) for r in candidates),
+                            key=lambda sr: (-sr[0], sr[1]))
     return IdentifyResult(best_id, "matched", best_sim)
 
 
@@ -215,7 +199,7 @@ def load_dataset(directory: str) -> FingerprintDataset:
             with open(os.path.join(dev_dir, name)) as fh:
                 fps.append(decode_fingerprint(fh.read()))
         if not fps:
-            raise DatasetError(f"device directory {dev_id!r} holds no fingerprints")
+            continue  # an enroll interrupted before its first file landed
         for fp in fps:
             if fp.challenge_hash != challenge:
                 raise ChallengeMismatchError(

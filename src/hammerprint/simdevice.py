@@ -26,6 +26,7 @@ import hashlib
 import random
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
+from typing import NamedTuple
 
 from .challenge import DramChallenge, victim_rows
 from .codec import parse_bit_range, profile_errors, profile_lines
@@ -92,19 +93,10 @@ class NoiseConfig:
             raise DeviceError("timing parameters must be >= 0")
 
 
-@dataclass(frozen=True)
-class SusceptibleCell:
-    position: int  # bit position within the row: column byte * 8 + bit
+class SusceptibleCell(NamedTuple):
+    location: FlipLocation  # where the cell's flip is reported
     polarity: int  # 1 = true cell (charged stores 1), 0 = anti cell
     marginal: bool
-
-    @property
-    def column(self) -> int:
-        return self.position >> 3
-
-    @property
-    def bit(self) -> int:
-        return self.position & 7
 
 
 def _prf(*parts) -> int:
@@ -164,7 +156,9 @@ class SimDevice:
             if rng.random() < p_cell:
                 polarity = rng.getrandbits(1)
                 marginal = rng.random() < self.noise.marginal_fraction
-                cells.append(SusceptibleCell(base + j, polarity, marginal))
+                pos = base + j  # bit position within the row: column byte * 8 + bit
+                cells.append(SusceptibleCell(FlipLocation(bank, row, pos >> 3, pos & 7),
+                                             polarity, marginal))
         return tuple(cells)
 
     def flip_direction(self, loc: FlipLocation) -> str:
@@ -174,7 +168,7 @@ class SimDevice:
         value (0 to 1). Direction is not part of location identity.
         """
         for cell in self.susceptible_cells(loc.bank, loc.row):
-            if cell.column == loc.column and cell.bit == loc.bit:
+            if cell.location == loc:
                 return "1to0" if cell.polarity == 1 else "0to1"
         raise DeviceError(f"{loc} is not a susceptible cell of this device")
 
@@ -252,37 +246,31 @@ def hammer(dev: SimDevice, ch: DramChallenge, measurement_seed: int) -> list[set
     bit.
     """
     ch.validate_for(dev.geom)
+    results: list[set[FlipLocation]] = [set() for _ in range(ch.measurements)]
     if trr_neutralizes(dev, ch):
-        return [set() for _ in range(ch.measurements)]
+        return results
     victims = victim_rows(ch.pattern)
     key = dev.device_key
     p_flip = dev.noise.p_flip_given_susceptible
     activation = dev.noise.marginal_activation
     victim_value = ch.data.victim_value
-
-    rows = []
     for bank in ch.bank_range:
         for row in victims:
             cells = dev.susceptible_cells(bank, row)
             # charged-state gate: a true cell needs its bit initialized to
             # 1, an anti cell to 0, i.e. init bit == polarity
-            eligible = [c for c in cells if (victim_value >> c.bit) & 1 == c.polarity]
+            eligible = [c for c in cells if (victim_value >> c.location.bit) & 1 == c.polarity]
             if not eligible:
                 continue
             arng = random.Random(_prf("act", key, measurement_seed, bank, row))
             active = [not c.marginal or arng.random() < activation for c in eligible]
-            rows.append((bank, row, eligible, active))
-
-    results: list[set[FlipLocation]] = []
-    for t in range(ch.measurements):
-        flips: set[FlipLocation] = set()
-        for bank, row, eligible, active in rows:
-            mrng = random.Random(_prf("meas", key, measurement_seed, t, bank, row))
-            for cell, act in zip(eligible, active):
-                u = mrng.random()
-                if act and u < p_flip:
-                    flips.add(FlipLocation(bank, row, cell.column, cell.bit))
-        results.append(flips)
+            for t, flips in enumerate(results):
+                mrng = random.Random(_prf("meas", key, measurement_seed, t, bank, row))
+                # every eligible cell draws, active or not, so each draw
+                # stays tied to its cell
+                for cell, act in zip(eligible, active):
+                    if mrng.random() < p_flip and act:
+                        flips.add(cell.location)
     return results
 
 

@@ -106,7 +106,6 @@ class TestUniqueness:
 
     def test_zero_iff_supports_disjoint_at_toy_scale(self, toy_geom, toy_mapping):
         from hammerprint.challenge import victim_rows
-        from hammerprint.fingerprint import FlipLocation
 
         ch = small_challenge(n=18, measurements=2)  # wide enough to evade TRR
         rng = random.Random(9)
@@ -126,7 +125,7 @@ class TestUniqueness:
                 for bank in ch.bank_range:
                     for row in victim_rows(ch.pattern):
                         for c in dev.susceptible_cells(bank, row):
-                            cells.add(FlipLocation(bank, row, c.column, c.bit))
+                            cells.add(c.location)
                 support[name] = cells
             if not (support["a"] & support["b"]):
                 assert rep.max == 0.0

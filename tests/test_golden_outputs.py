@@ -33,3 +33,47 @@ def test_default_seed_outputs_are_byte_identical(tmp_path, capsys):
     for name in ("reliability", "tradeoff"):
         assert cli.main(["eval", name, "--out-dir", str(tmp_path)]) == 0
     assert {name: sha256(tmp_path / name) for name in GOLDEN} == GOLDEN
+
+
+# Dataset layout after three default-seed enrolls: every path relative to
+# the dataset directory and the sha256 of its bytes.
+GOLDEN_DATASET = {
+    "dataset.meta": "a909b353ad1338cba8431da160a9cbcd62d7feb392a7d4b567eef886a6e4a672",
+    "dev-1/1.fp": "356f38b63ed6026fc11fbeeb7f8cfcf940186e4059528cd05546d2e734a39c1f",
+    "dev-1/2.fp": "75f4fc018cf8b0d1b33f98fbf988523552f096cf253905d216d3af7211f08b11",
+    "dev-2/1.fp": "3beff80246f131a1e8159b366f57dcdbec585d981e9533915fe081e9e0e6f802",
+}
+
+# (command and its arguments, exit code, stdout) of each enroll and
+# identify, in order: one matched identify (exit 0), one new (exit 3).
+GOLDEN_TRANSCRIPT = [
+    (["enroll", "a.fp"], 0, "enrolled dev-1 (k=1, 149 flips)\n"),
+    (["enroll", "b.fp"], 0, "enrolled dev-2 (k=1, 206 flips)\n"),
+    (["enroll", "a2.fp", "--id", "dev-1"], 0, "enrolled dev-1 (k=2, 141 flips)\n"),
+    (["identify", "a3.fp"], 0, "matched dev-1 similarity=0.854167\n"),
+    (["identify", "c.fp"], 3, "new dev-3\n"),
+]
+
+
+def test_default_seed_dataset_and_decisions_are_byte_identical(tmp_path, capsys):
+    dataset = tmp_path / "dataset"
+    # three devices; device a is queried under three measurement seeds
+    queries = {"a": ([], []), "a2": ([], ["--seed", "2"]), "a3": ([], ["--seed", "3"]),
+               "b": (["--dimm-seed", "0xb1", "--host-seed", "0xb2"], []),
+               "c": (["--dimm-seed", "0xc1", "--host-seed", "0xc2"], [])}
+    for name, (device_seeds, query_seed) in queries.items():
+        prof = tmp_path / f"{name[0]}.prof"
+        assert cli.main(["simulate", "new-device", "--out", str(prof), *device_seeds]) == 0
+        assert cli.main([*query_seed, "fingerprint", "--device", str(prof),
+                         "--out", str(tmp_path / f"{name}.fp")]) == 0
+    capsys.readouterr()
+    transcript = []
+    for argv in (["enroll", "a.fp"], ["enroll", "b.fp"], ["enroll", "a2.fp", "--id", "dev-1"],
+                 ["identify", "a3.fp"], ["identify", "c.fp"]):
+        code = cli.main(["--dataset", str(dataset), argv[0], str(tmp_path / argv[1]),
+                         *argv[2:]])
+        transcript.append((argv, code, capsys.readouterr().out))
+    layout = {p.relative_to(dataset).as_posix(): sha256(p)
+              for p in sorted(dataset.rglob("*")) if p.is_file()}
+    assert layout == GOLDEN_DATASET
+    assert transcript == GOLDEN_TRANSCRIPT

@@ -159,17 +159,6 @@ class TestIdentify:
         with pytest.raises(ChallengeMismatchError):
             identify(ds, fp(block(0, 5), challenge="d" * 64))
 
-    def test_optional_similarity_guard(self):
-        ds = FingerprintDataset(H)
-        enroll(ds, "dev-1", fp(block(0, 10)))
-        enroll(ds, "dev-2", fp(block(3, 10)))
-        query = fp(block(0, 13))
-        loose = identify(ds, query, IdentifyConfig(match_threshold=0.5))
-        assert loose.decision == "matched"
-        guarded = identify(ds, query,
-                           IdentifyConfig(match_threshold=0.5, min_similarity=0.99))
-        assert guarded.decision == "new"
-
 
 class TestGetSimilarity:
     def test_uses_full_union(self):
@@ -272,3 +261,34 @@ class TestPersistence:
         after = load_dataset(path)
         assert set(after.records) == set(before.records) == {"dev-1"}
         assert after.records["dev-1"].fingerprints == before.records["dev-1"].fingerprints
+
+    def test_interrupted_first_save_of_new_device_is_not_enrolled(self, tmp_path, monkeypatch):
+        import hammerprint.registry as registry_mod
+
+        ds = FingerprintDataset(H)
+        enroll(ds, "dev-1", fp(block(0, 8)))
+        path = str(tmp_path / "ds")
+        save_dataset(ds, path)
+        before = load_dataset(path)
+
+        # fault injection: the crash hits only the new device's first file,
+        # after its directory was made
+        real_replace = os.replace
+
+        def failing_replace(src, dst):
+            if os.path.basename(os.path.dirname(dst)) == "dev-2":
+                os.unlink(src)
+                raise OSError("simulated crash before rename")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(registry_mod.os, "replace", failing_replace)
+        enroll(ds, generate_new_id(ds), fp(block(50, 8)))
+        with pytest.raises(OSError):
+            save_dataset(ds, path)
+        monkeypatch.setattr(registry_mod.os, "replace", real_replace)
+
+        assert os.path.isdir(os.path.join(path, "dev-2"))
+        after = load_dataset(path)
+        assert set(after.records) == set(before.records) == {"dev-1"}
+        assert after.records["dev-1"].fingerprints == before.records["dev-1"].fingerprints
+        assert generate_new_id(after) == "dev-2"

@@ -30,7 +30,7 @@ def window_support(dev: SimDevice, ch) -> set[FlipLocation]:
     for bank in ch.bank_range:
         for row in victim_rows(ch.pattern):
             for cell in dev.susceptible_cells(bank, row):
-                out.add(FlipLocation(bank, row, cell.column, cell.bit))
+                out.add(cell.location)
     return out
 
 
@@ -41,9 +41,9 @@ def eligible_cells(dev: SimDevice, ch) -> set[FlipLocation]:
     for bank in ch.bank_range:
         for row in victim_rows(ch.pattern):
             for cell in dev.susceptible_cells(bank, row):
-                init_bit = (ch.data.victim_value >> cell.bit) & 1
+                init_bit = (ch.data.victim_value >> cell.location.bit) & 1
                 if init_bit == cell.polarity:
-                    out.add(FlipLocation(bank, row, cell.column, cell.bit))
+                    out.add(cell.location)
     return out
 
 
@@ -233,7 +233,7 @@ class TestHammerSemantics:
         for bank in ch.bank_range:
             for row in victim_rows(ch.pattern):
                 for cell in dev.susceptible_cells(bank, row):
-                    polarity[FlipLocation(bank, row, cell.column, cell.bit)] = cell.polarity
+                    polarity[cell.location] = cell.polarity
         for flips in hammer(dev, ch, 8):
             for f in flips:
                 init_bit = (0x55 >> f.bit) & 1
