@@ -77,16 +77,13 @@ def build_pattern(kind: PatternKind | str, n: int, first_offset: int, rng_seed: 
     """Construct a pattern of ``n`` aggressors starting at ``first_offset``.
 
     Many-sided layouts interleave victims: aggressors land on
-    first_offset, first_offset+2, and so on. Non-uniform patterns use the
-    same layout and draw their temporal triples from ``rng_seed``.
+    first_offset, first_offset+2, and so on; single-sided ones sit four
+    rows apart and share no victim. Non-uniform patterns use the
+    many-sided layout and draw their temporal triples from ``rng_seed``.
     """
     kind = PatternKind(kind)
-    if kind == PatternKind.SINGLE_SIDED:
-        if n != 2:
-            raise ChallengeError("single-sided pattern takes exactly 2 aggressors")
-        # far apart on purpose: no shared victim
-        return HammerPattern(kind, (first_offset, first_offset + 4))
-    offsets = tuple(first_offset + 2 * i for i in range(n))
+    step = 4 if kind == PatternKind.SINGLE_SIDED else 2
+    offsets = tuple(first_offset + step * i for i in range(n))
     if kind != PatternKind.NON_UNIFORM:
         return HammerPattern(kind, offsets)  # checks the count for its kind
     rng = random.Random(rng_seed)

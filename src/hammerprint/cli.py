@@ -185,22 +185,26 @@ def cmd_eval(args) -> int:
               f"(choose from {', '.join(sorted(runners))})", file=sys.stderr)
         return EXIT_USAGE
     os.makedirs(args.out_dir, exist_ok=True)
-    return runner(args)
+    runner(args)
+    return EXIT_OK
 
 
-def _write_report(args, report: evalharness.ExperimentReport, filename: str) -> str:
-    path = os.path.join(args.out_dir, filename)
-    with open(path, "w") as fh:
-        fh.write(report.to_delimited())
+def _write_file(args, name: str, text: str) -> None:
+    with open(os.path.join(args.out_dir, name), "w") as fh:
+        fh.write(text)
+
+
+def _write_report(args, report: evalharness.ExperimentReport, filename: str) -> None:
+    text = report.to_delimited()
+    _write_file(args, filename, text)
     if args.format == "table":
         # full data lives in the file; keep the terminal echo short
         print(report.to_table(max_rows=None if args.verbose else 20))
     else:
-        print(report.to_delimited(), end="")
-    return path
+        print(text, end="")
 
 
-def _eval_reliability(args) -> int:
+def _eval_reliability(args) -> None:
     ch = challenge_mod.default_challenge()
     rng_seeds = (args.seed, args.seed + 1)
     for i, s in enumerate(rng_seeds, start=1):
@@ -208,10 +212,9 @@ def _eval_reliability(args) -> int:
         report = evalharness.reliability_experiment(dev, ch, seed=args.seed + i)
         _write_report(args, report, f"reliability_device{i}.csv")
         print(f"device {i}: mean J_intra = {report.mean:.4f}")
-    return EXIT_OK
 
 
-def _eval_uniqueness(args) -> int:
+def _eval_uniqueness(args) -> None:
     ch = challenge_mod.default_challenge()
     dev_a = simdevice.new_sim_device(args.seed, args.seed + 1000)
     dev_b = simdevice.new_sim_device(args.seed + 1, args.seed + 1001)
@@ -219,37 +222,29 @@ def _eval_uniqueness(args) -> int:
                                                n_queries=10, seed=args.seed)
     _write_report(args, report, "uniqueness.csv")
     print(f"mean J_inter = {report.mean:.6g}, max = {report.max:.6g}")
-    return EXIT_OK
 
 
-def _eval_detection(args) -> int:
+def _eval_detection(args) -> None:
     result = evalharness.detection_experiment(seed=args.seed)
     _write_report(args, result.to_report(), "detection.csv")
-    matrix_path = os.path.join(args.out_dir, "detection_matrix.csv")
-    with open(matrix_path, "w") as fh:
-        fh.write(result.matrix_delimited())
+    _write_file(args, "detection_matrix.csv", result.matrix_delimited())
     print(f"correct decisions: {result.correct}/{len(result.rows)}")
-    return EXIT_OK
 
 
-def _eval_one_dimm(args) -> int:
+def _eval_one_dimm(args) -> None:
     hosts = [args.seed + 7001, args.seed + 7002, args.seed + 7003]
     result = evalharness.one_dimm_multi_host(args.seed, hosts, seed=args.seed)
     _write_report(args, result.to_report(), "one_dimm.csv")
-    matrix_path = os.path.join(args.out_dir, "one_dimm_matrix.csv")
-    with open(matrix_path, "w") as fh:
-        fh.write(result.matrix_delimited())
+    _write_file(args, "one_dimm_matrix.csv", result.matrix_delimited())
     flips = ", ".join(f"{v:.1f}" for v in result.mean_flips)
     print(f"per-host mean flips: {flips}")
-    return EXIT_OK
 
 
-def _eval_tradeoff(args) -> int:
+def _eval_tradeoff(args) -> None:
     ch = challenge_mod.default_challenge()
     dev = simdevice.new_sim_device(args.seed, args.seed + 1000)
     report = evalharness.measurements_tradeoff(dev, ch, seed=args.seed)
     _write_report(args, report, "tradeoff.csv")
-    return EXIT_OK
 
 
 def cmd_reverse_map(args) -> int:
@@ -275,6 +270,7 @@ def cmd_new_device(args) -> int:
     dimm = args.dimm_seed if args.dimm_seed is not None else rng.getrandbits(64)
     host = args.host_seed if args.host_seed is not None else rng.getrandbits(64)
     dev = simdevice.new_sim_device(dimm, host)
+    dev.device_key  # refuses a seed the PRF cannot encode before --out is opened
     with open(args.out, "w") as fh:
         fh.write(simdevice.encode_device(dev))
     print(f"wrote {args.out}: dimm_seed={dimm:#x} host_seed={host:#x}")

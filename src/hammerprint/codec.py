@@ -1,10 +1,10 @@
 """The line codec shared by the ``key=value`` profile texts.
 
-Challenge profiles, device profiles, mapping files and ``dataset.meta``
-use one line syntax: each line is stripped, blank and ``#`` lines are
-skipped, and a line splits on its first ``=``. Each profile parser raises
-its own format's error for anything malformed, whatever the underlying
-failure.
+Challenge profiles, device profiles, mapping files, ``dataset.meta`` and
+fingerprint files use one line syntax: each line is stripped, blank and
+``#`` lines are skipped, and a line splits on its first ``=``. Each
+parser raises its own format's error for anything malformed, whatever
+the underlying failure.
 """
 
 from __future__ import annotations

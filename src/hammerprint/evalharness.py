@@ -182,6 +182,22 @@ def uniqueness_experiment(dev_a: SimDevice, dev_b: SimDevice, ch: DramChallenge,
     )
 
 
+def _matrix_delimited(corner: str, row_names: list[str], column_names: list[str],
+                      matrix: list[list[float]]) -> str:
+    lines = [",".join([corner] + column_names)]
+    for name, row in zip(row_names, matrix):
+        lines.append(",".join([name] + [f"{v:.6g}" for v in row]))
+    return "\n".join(lines) + "\n"
+
+
+def _detected(row: tuple) -> bool:
+    """Right decision: replaced hardware is new, any other device matches its id."""
+    _, _, true_id, result_id, decision, _ = row
+    if true_id is None:
+        return decision == "new"
+    return decision == "matched" and result_id == true_id
+
+
 @dataclass
 class DetectionResult:
     """Outcome of the enroll-then-re-detect experiment."""
@@ -189,38 +205,38 @@ class DetectionResult:
     enrolled_ids: list[str]
     rows: list[tuple]  # (position, phase2_label, true_id, result_id, decision, similarity)
     matrix: list[list[float]]  # phase-2 queries x enrolled devices
-    correct: int
-    new_count: int
+
+    @property
+    def correct(self) -> int:
+        return sum(map(_detected, self.rows))
+
+    @property
+    def new_count(self) -> int:
+        return sum(row[4] == "new" for row in self.rows)
 
     def to_report(self) -> ExperimentReport:
-        values = [1.0 if (true_id == result_id or (true_id is None and decision == "new"))
-                  else 0.0
-                  for _, _, true_id, result_id, decision, _ in self.rows]
         return ExperimentReport(
             name="detection",
             columns=("position", "label", "true_id", "result_id", "decision", "similarity"),
             rows=[(p, lb, t or "-", r, d, s if s is not None else "-")
                   for p, lb, t, r, d, s in self.rows],
-            values=values,
+            values=[float(_detected(row)) for row in self.rows],
         )
 
     def matrix_delimited(self) -> str:
-        lines = [",".join(["query"] + self.enrolled_ids)]
-        for k, row in enumerate(self.matrix):
-            lines.append(",".join([f"q{k + 1}"] + [f"{v:.6g}" for v in row]))
-        return "\n".join(lines) + "\n"
+        queries = [f"q{k + 1}" for k in range(len(self.matrix))]
+        return _matrix_delimited("query", queries, self.enrolled_ids, self.matrix)
 
 
-def detection_experiment(n_devices: int = 8, enroll_queries: int = 3,
-                         seed: int = 0, replace: int = 0,
+def detection_experiment(n_devices: int = 8, seed: int = 0, replace: int = 0,
                          witness_index: int | None = 0) -> DetectionResult:
     """Enroll a fleet, then re-detect it under permuted labels.
 
-    Phase two queries each device once with fresh virtual attributes
-    (label, MAC, IP) and runs identification. ``replace`` devices are
-    swapped for fresh hardware before phase two and must come back as
-    new. The ``witness_index`` device is built with deterministic flips,
-    so its re-detection overlap is exactly 1.
+    Each device enrolls three queries. Phase two queries each device once
+    with fresh virtual attributes (label, MAC, IP) and runs identification.
+    ``replace`` devices are swapped for fresh hardware before phase two and
+    must come back as new. The ``witness_index`` device is built with
+    deterministic flips, so its re-detection overlap is exactly 1.
     """
     if n_devices < 2:
         raise ExperimentError("need at least two devices")
@@ -239,7 +255,7 @@ def detection_experiment(n_devices: int = 8, enroll_queries: int = 3,
     enrolled_ids = []
     for dev in devices:
         dev_id = generate_new_id(dataset)
-        for k in range(enroll_queries):
+        for _ in range(3):
             fp = run_query(dev, ch, rng.getrandbits(64),
                            device_hint=_virtual_attrs(rng, dev_id))
             enroll(dataset, dev_id, fp)
@@ -255,7 +271,6 @@ def detection_experiment(n_devices: int = 8, enroll_queries: int = 3,
     rng.shuffle(order)
 
     rows, matrix = [], []
-    correct = new_count = 0
     for position, idx in enumerate(order):
         label = f"probe-{position + 1}"
         query = run_query(devices[idx], ch, rng.getrandbits(64),
@@ -263,16 +278,9 @@ def detection_experiment(n_devices: int = 8, enroll_queries: int = 3,
         result = identify(dataset, query)
         matrix.append([jaccard_prime(query, dataset.records[i].union())
                        for i in enrolled_ids])
-        if result.decision == "new":
-            new_count += 1
-        if true_ids[idx] is None:
-            ok = result.decision == "new"
-        else:
-            ok = result.decision == "matched" and result.device_id == true_ids[idx]
-        correct += ok
         rows.append((position, label, true_ids[idx], result.device_id,
                      result.decision, result.similarity))
-    return DetectionResult(enrolled_ids, rows, matrix, correct, new_count)
+    return DetectionResult(enrolled_ids, rows, matrix)
 
 
 def _virtual_attrs(rng: random.Random, label: str) -> str:
@@ -303,13 +311,8 @@ class MultiHostResult:
 
     def matrix_delimited(self) -> str:
         names = [f"host{i + 1}" for i in range(len(self.host_seeds))]
-        lines = [",".join(["new\\db"] + names)]
-        for name, row in zip(names, self.matrix):
-            lines.append(",".join([name] + [f"{v:.6g}" for v in row]))
-        lines.append("")
-        lines.append(",".join(["host"] + names))
-        lines.append(",".join(["mean_flips"] + [f"{v:.6g}" for v in self.mean_flips]))
-        return "\n".join(lines) + "\n"
+        return (_matrix_delimited("new\\db", names, names, self.matrix) + "\n"
+                + _matrix_delimited("host", ["mean_flips"], names, [self.mean_flips]))
 
 
 def one_dimm_multi_host(dimm_seed: int, host_seeds: list[int],

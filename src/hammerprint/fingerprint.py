@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable
 
+from .codec import profile_lines
+
 
 class FingerprintError(ValueError):
     """Malformed fingerprint input."""
@@ -80,7 +82,7 @@ def from_measurements(measurement_sets: Iterable[Iterable[FlipLocation]],
                       device_hint: str | None = None,
                       query_time: str | None = None) -> Fingerprint:
     """Union the per-measurement flip sets of one query into a fingerprint."""
-    sets = [frozenset(s) for s in measurement_sets]
+    sets = list(measurement_sets)
     if not sets:
         raise FingerprintError("a query needs at least one measurement")
     locations: frozenset[FlipLocation] = frozenset().union(*sets)
@@ -141,27 +143,23 @@ def encode_fingerprint(fp: Fingerprint) -> str:
 
 
 def decode_fingerprint(text: str) -> Fingerprint:
-    challenge = None
-    query_time = None
-    hint = None
+    """Parse a fingerprint file written in the profile line syntax.
+
+    A line without ``=`` is a location; ``challenge``, ``time`` and
+    ``hint`` are the headers. Blank and ``#`` lines are skipped.
+    """
+    headers: dict[str, str] = {}
     locations = set()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("challenge="):
-            challenge = line[len("challenge="):]
-        elif line.startswith("time="):
-            query_time = line[len("time="):]
-        elif line.startswith("hint="):
-            hint = line[len("hint="):]
-        elif line.startswith("b"):
-            locations.add(_parse_location(line))
+    for key, value in profile_lines(text):
+        if value is None:
+            locations.add(_parse_location(key))
+        elif key in ("challenge", "time", "hint"):
+            headers[key] = value
         else:
-            raise FingerprintError(f"bad fingerprint line: {line!r}")
-    if challenge is None:
+            raise FingerprintError(f"bad fingerprint line: {key + '=' + value!r}")
+    if "challenge" not in headers:
         raise FingerprintError("fingerprint file lacks a challenge= header")
-    return Fingerprint(frozenset(locations), challenge, hint, query_time)
+    return Fingerprint(locations, headers["challenge"], headers.get("hint"), headers.get("time"))
 
 
 def _parse_location(line: str) -> FlipLocation:

@@ -235,6 +235,10 @@ def timing_threshold(samples: list[float]) -> float:
     return (xs[best_split - 1] + xs[best_split]) / 2.0
 
 
+MIN_SEPARATION = 4.0  # mean gap over within-class spread
+MIN_GOOD_BASES = 4
+
+
 @dataclass(frozen=True)
 class ProbeConfig:
     """Sampling plan for bank-function recovery.
@@ -248,9 +252,12 @@ class ProbeConfig:
     partners_per_base: int = 512
     seed: int = 0
 
-
-MIN_SEPARATION = 4.0  # mean gap over within-class spread
-MIN_GOOD_BASES = 4
+    def __post_init__(self):
+        # a plan that no timing can make succeed is a usage error, not a recovery failure
+        if self.num_bases < MIN_GOOD_BASES:
+            raise GeometryError(f"num_bases must be at least {MIN_GOOD_BASES}")
+        if self.partners_per_base < 2:
+            raise GeometryError("partners_per_base must be at least 2")
 
 
 def recover_bank_functions(oracle, geom: DramGeometry, cfg: ProbeConfig = ProbeConfig()) -> list[int]:
@@ -277,11 +284,7 @@ def recover_bank_functions(oracle, geom: DramGeometry, cfg: ProbeConfig = ProbeC
         hi = [t for t in lats if t >= thr]
         if not lo or not hi:
             continue
-        spread = max(
-            statistics.pstdev(lo) if len(lo) > 1 else 0.0,
-            statistics.pstdev(hi) if len(hi) > 1 else 0.0,
-            1e-12,
-        )
+        spread = max(statistics.pstdev(lo), statistics.pstdev(hi), 1e-12)
         if (statistics.fmean(hi) - statistics.fmean(lo)) / spread < MIN_SEPARATION:
             continue
         good_bases += 1

@@ -35,7 +35,6 @@ class DatasetError(ValueError):
 class DeviceRecord:
     id: str
     fingerprints: list[Fingerprint]
-    enrolled_at: str | None = None
 
     def __post_init__(self):
         if not self.fingerprints:
@@ -125,8 +124,7 @@ def identify(dataset: FingerprintDataset, f_u: Fingerprint,
     return IdentifyResult(best_id, "matched", best_sim)
 
 
-def enroll(dataset: FingerprintDataset, dev_id: str, fp: Fingerprint,
-           enrolled_at: str | None = None) -> FingerprintDataset:
+def enroll(dataset: FingerprintDataset, dev_id: str, fp: Fingerprint) -> FingerprintDataset:
     """Append a fingerprint to a device record, creating the record if new.
 
     The id names the device's directory in a saved dataset, so it must be
@@ -134,11 +132,13 @@ def enroll(dataset: FingerprintDataset, dev_id: str, fp: Fingerprint,
     """
     if dev_id in ("", ".", "..") or os.path.basename(dev_id) != dev_id:
         raise DatasetError(f"device id {dev_id!r} is not a single path component")
+    if not fp.locations:  # it could never match, yet would use up an id
+        raise FingerprintError("cannot enroll an empty fingerprint")
     if fp.challenge_hash != dataset.challenge_hash:
         raise ChallengeMismatchError("fingerprint challenge does not match dataset")
     record = dataset.records.get(dev_id)
     if record is None:
-        dataset.records[dev_id] = DeviceRecord(dev_id, [fp], enrolled_at)
+        dataset.records[dev_id] = DeviceRecord(dev_id, [fp])
     else:
         record.fingerprints.append(fp)
     return dataset

@@ -102,11 +102,14 @@ class SusceptibleCell(NamedTuple):
 def _prf(*parts) -> int:
     """Keyed 64-bit PRF over a tagged tuple of ints and strings."""
     h = hashlib.blake2b(digest_size=8, key=b"hammerprint.simdevice")
-    for p in parts:
-        if isinstance(p, str):
-            h.update(b"s" + p.encode())
-        else:
-            h.update(b"i" + int(p).to_bytes(17, "little", signed=True))
+    try:
+        for p in parts:
+            if isinstance(p, str):
+                h.update(b"s" + p.encode())
+            else:
+                h.update(b"i" + int(p).to_bytes(17, "little", signed=True))
+    except OverflowError:
+        raise DeviceError("seed does not fit the PRF's 17-byte signed encoding") from None
     return int.from_bytes(h.digest(), "little")
 
 

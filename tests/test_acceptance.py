@@ -113,11 +113,10 @@ def test_criterion_03_database_size_trend():
 
 
 def test_criterion_04_identification_experiment():
-    result = detection_experiment(n_devices=8, enroll_queries=3, seed=4001)
+    result = detection_experiment(n_devices=8, seed=4001)
     witness_rows = [row for row in result.rows if row[2] == "dev-1"]
     witness_sim = witness_rows[0][5]
-    replaced = detection_experiment(n_devices=8, enroll_queries=3,
-                                    seed=4001, replace=2)
+    replaced = detection_experiment(n_devices=8, seed=4001, replace=2)
     ok = (result.correct == 8 and result.new_count == 0
           and witness_sim == 1.0
           and replaced.new_count == 2 and replaced.correct == 8)

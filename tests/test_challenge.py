@@ -53,6 +53,9 @@ class TestBuildPattern:
             build_pattern(PatternKind.ONE_LOCATION, 2, 1)
         with pytest.raises(ChallengeError):
             build_pattern(PatternKind.N_SIDED, 2, 1)
+        for n in (1, 3):
+            with pytest.raises(ChallengeError, match="single-sided pattern takes exactly 2"):
+                build_pattern(PatternKind.SINGLE_SIDED, n, 1)
 
     def test_non_uniform_is_deterministic(self):
         a = build_pattern(PatternKind.NON_UNIFORM, 6, 1, rng_seed=42)
@@ -64,7 +67,7 @@ class TestBuildPattern:
 
     def test_single_sided_has_no_shared_victim(self):
         p = build_pattern(PatternKind.SINGLE_SIDED, 2, 3)
-        assert len(p.aggressor_offsets) == 2
+        assert p.aggressor_offsets == (3, 7)
         assert len(victim_rows(p)) == 4
 
 

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from hammerprint import cli, gf2
@@ -50,6 +53,25 @@ class TestSimulateNewDevice:
                   "--dimm-seed", "0x10", "--host-seed", "32"])
         dev = parse_device(p.read_text())
         assert dev.dimm_seed == 0x10 and dev.host_seed == 32
+
+    def test_seed_beyond_prf_encoding_is_usage_error(self, tmp_path, device_profile, capsys):
+        big = tmp_path / "big.prof"
+        too_big = ["simulate", "new-device", "--out", str(big), "--dimm-seed", "0x" + "f" * 40]
+        assert cli.main(too_big) == cli.EXIT_USAGE
+        assert not big.exists()
+        big.write_text(encode_device(new_sim_device(2**160 - 1, 1)))
+        for argv in (["fingerprint", "--device", str(big), "--out", str(tmp_path / "a.fp")],
+                     ["--seed", str(10**45), "fingerprint", "--device", str(device_profile),
+                      "--out", str(tmp_path / "b.fp")],
+                     ["--seed", str(10**45), "eval", "tradeoff", "--out-dir", str(tmp_path)]):
+            capsys.readouterr()
+            assert cli.main(argv) == cli.EXIT_USAGE
+            assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.prof", "device.prof"]
+        edge = tmp_path / "edge.prof"
+        assert cli.main(["simulate", "new-device", "--out", str(edge),
+                         "--dimm-seed", hex(2**135 - 1)]) == 0
+        write_fingerprint(tmp_path, edge, "edge.fp", 2**135 - 1)
 
 
 class TestFingerprintCommand:
@@ -167,6 +189,29 @@ class TestEnrollIdentify:
         assert cli.main(["--dataset", str(ds), "identify", str(fp_path)]) == cli.EXIT_OK
         assert "matched dev-1" in capsys.readouterr().out
 
+    def test_empty_fingerprint_enroll_is_usage_error(self, tmp_path, device_profile, capsys):
+        ds = tmp_path / "ds"
+        fp_path = write_fingerprint(tmp_path, device_profile, "q.fp", 13)
+        empty = tmp_path / "empty.fp"
+        empty.write_text(fp_path.read_text().splitlines()[0] + "\n")
+        assert cli.main(["--dataset", str(ds), "enroll", str(empty)]) == cli.EXIT_USAGE
+        assert not ds.exists()
+        assert cli.main(["--dataset", str(ds), "enroll", str(fp_path)]) == 0
+        assert cli.main(["--dataset", str(ds), "enroll", str(empty),
+                         "--id", "dev-1"]) == cli.EXIT_USAGE
+        assert cli.main(["--dataset", str(ds), "identify", str(empty)]) == cli.EXIT_USAGE
+        capsys.readouterr()
+        assert cli.main(["--dataset", str(ds), "enroll", str(fp_path)]) == 0
+        assert "enrolled dev-2 (k=1" in capsys.readouterr().out
+
+    def test_threshold_outside_unit_interval_is_usage_error(self, tmp_path, device_profile):
+        ds = str(tmp_path / "ds")
+        fp_path = write_fingerprint(tmp_path, device_profile, "q.fp", 14)
+        assert cli.main(["--dataset", ds, "enroll", str(fp_path)]) == 0
+        for threshold in ("0", "1.5"):
+            rc = cli.main(["--dataset", ds, "identify", str(fp_path), "--threshold", threshold])
+            assert rc == cli.EXIT_USAGE
+
     def test_dataset_env_var(self, tmp_path, device_profile, monkeypatch):
         ds = tmp_path / "envds"
         monkeypatch.setenv(cli.DATASET_ENV, str(ds))
@@ -237,9 +282,28 @@ class TestReverseMap:
                        "--out", str(tmp_path / "map.txt")])
         assert rc == cli.EXIT_RECOVERY_FAILURE
 
+    def test_impossible_probe_plan_is_usage_error(self, tmp_path, device_profile, capsys):
+        out = tmp_path / "map.txt"
+        for plan in (["--bases", "-3"], ["--bases", "3"], ["--partners", "1"]):
+            capsys.readouterr()
+            rc = cli.main(["reverse-map", "--device", str(device_profile),
+                           "--out", str(out), *plan])
+            assert rc == cli.EXIT_USAGE
+            assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestUsage:
     def test_argparse_usage_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["bogus-command"])
         assert exc.value.code == 2
+
+
+def test_exit_codes_match_readme_and_docstring():
+    codes = sorted(v for k, v in vars(cli).items() if k.startswith("EXIT_"))
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = readme.split("Exit codes:", 1)[1].split("\n\n", 1)[0]
+    assert sorted(int(c) for c in re.findall(r"`(\d+)`", listed)) == codes
+    documented = cli.__doc__.split("Exit codes:", 1)[1].split("\n\n", 1)[0]
+    assert sorted(int(c) for c in re.findall(r"\b(\d+) [a-z]", documented)) == codes

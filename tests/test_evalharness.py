@@ -152,6 +152,18 @@ class TestDetection:
         assert result.new_count == 2
         assert result.correct == 8
 
+    def test_wrong_decisions_are_not_counted_correct(self):
+        # (position, label, true_id, result_id, decision, similarity)
+        rows = [(0, "p1", "dev-1", "dev-1", "matched", 0.9),   # right device
+                (1, "p2", "dev-2", "dev-1", "matched", 0.5),   # wrong device
+                (2, "p3", "dev-3", "dev-4", "new", None),      # missed
+                (3, "p4", None, "dev-2", "matched", 0.6),      # replaced, matched
+                (4, "p5", None, "dev-4", "new", None)]         # replaced, new
+        result = DetectionResult(["dev-1", "dev-2", "dev-3"], rows, [[0.0] * 3] * 5)
+        assert result.correct == 2
+        assert result.new_count == 2
+        assert result.to_report().values == [1.0, 0.0, 0.0, 0.0, 1.0]
+
     def test_reproducible(self):
         a = detection_experiment(n_devices=4, seed=103)
         b = detection_experiment(n_devices=4, seed=103)

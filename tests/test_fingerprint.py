@@ -194,6 +194,16 @@ class TestEncoding:
             decode_fingerprint(f"challenge={H}\nx1:r2:c3:i4\n")
         with pytest.raises(FingerprintError):
             decode_fingerprint("b0:r0:c0:i0\n")
+        with pytest.raises(FingerprintError):
+            decode_fingerprint(f"challenge={H}\nx=y\nb1:r2:c3:i4\n")
+
+    def test_decode_skips_comment_and_blank_lines(self):
+        f = fp({loc(3), loc(4)}, device_hint="label=x", query_time="t0")
+        plain = encode_fingerprint(f)
+        lines = plain.splitlines()
+        commented = "\n".join(["# note", lines[0], "", "  # indented"] + lines[1:]
+                              + ["   ", "#b9:r9:c9:i9"]) + "\n"
+        assert decode_fingerprint(commented) == decode_fingerprint(plain) == f
 
     def test_encode_refuses_headers_that_do_not_decode_unchanged(self):
         for kw in ({"query_time": "2024\nb9:r9:c9:i1"},

@@ -261,6 +261,15 @@ class TestRecovery:
             recover_bank_functions(make_timing_oracle(dev, 3), toy_geom,
                                    ProbeConfig(seed=3))
 
+    def test_impossible_probe_plan_is_a_usage_error(self):
+        # below MIN_GOOD_BASES bases, or one partner (no threshold), recovery
+        # can never succeed, so the plan itself is refused
+        for kw in ({"num_bases": -3}, {"num_bases": 3}, {"partners_per_base": 1},
+                   {"partners_per_base": 0}):
+            with pytest.raises(GeometryError):
+                ProbeConfig(**kw)
+        ProbeConfig(num_bases=4, partners_per_base=2)
+
 
 def test_canonical_mapping_is_invertible(toy_geom):
     mapping = canonical_mapping(toy_geom)

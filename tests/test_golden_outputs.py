@@ -35,6 +35,32 @@ def test_default_seed_outputs_are_byte_identical(tmp_path, capsys):
     assert {name: sha256(tmp_path / name) for name in GOLDEN} == GOLDEN
 
 
+GOLDEN_REPORTS = {
+    "detection.csv":
+        "63d68680d82862bc001fefd17c3c5595018024ac60442be0ec45267c355ce3eb",
+    "detection_matrix.csv":
+        "793f31667898d2539c5ca65984086538a8dbe0bb5265607fbd91a9378ad261e4",
+    "one_dimm.csv":
+        "442606fc78556fc19733544c6c4963cbf4b5060b142fe78a8af33986c688311a",
+    "one_dimm_matrix.csv":
+        "c143b6a550b4a8f20661ae750a867d74d7c1ca4d08b983f927168f0d2540d735",
+    "uniqueness.csv":
+        "49aa0f586bbac8c67da4a49a6c4461611d30d557abfd948099b7818c5391aaf4",
+}
+
+
+def test_default_seed_experiment_reports_are_byte_identical(tmp_path, capsys):
+    for name in ("detection", "one-dimm", "uniqueness"):
+        assert cli.main(["eval", name, "--out-dir", str(tmp_path)]) == 0
+    assert {name: sha256(tmp_path / name) for name in GOLDEN_REPORTS} == GOLDEN_REPORTS
+    # delimited mode echoes exactly the bytes of the report file
+    capsys.readouterr()
+    assert cli.main(["--format", "delimited", "eval", "tradeoff",
+                     "--out-dir", str(tmp_path)]) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == GOLDEN["tradeoff.csv"]
+
+
 # Dataset layout after three default-seed enrolls: every path relative to
 # the dataset directory and the sha256 of its bytes.
 GOLDEN_DATASET = {

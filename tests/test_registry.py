@@ -189,6 +189,12 @@ class TestEnroll:
         with pytest.raises(ChallengeMismatchError):
             enroll(ds, "dev-1", fp(block(0, 5), challenge="d" * 64))
 
+    def test_empty_fingerprint_refused(self):
+        ds = FingerprintDataset(H)
+        with pytest.raises(FingerprintError):
+            enroll(ds, "dev-1", fp(set()))
+        assert ds.records == {} and generate_new_id(ds) == "dev-1"
+
     def test_record_requires_fingerprints(self):
         with pytest.raises(DatasetError):
             DeviceRecord("dev-1", [])

@@ -61,6 +61,13 @@ class TestConfigValidation:
         with pytest.raises(DeviceError):
             NoiseConfig(marginal_activation=-0.1)
 
+    def test_seed_beyond_prf_encoding_is_device_error(self):
+        ch = default_challenge()
+        for dimm_seed, query_seed in ((2**135, 1), (-2**135 - 1, 1), (1, 10**45)):
+            with pytest.raises(DeviceError):
+                run_query(new_sim_device(dimm_seed, 2), ch, query_seed)
+        assert run_query(new_sim_device(2**135 - 1, -2**135), ch, 2**135 - 1).locations
+
 
 class TestDeterminism:
     def test_identical_inputs_identical_fingerprints(self):
