@@ -50,7 +50,6 @@ from .geometry import (
 from .registry import (
     DeviceRecord,
     FingerprintDataset,
-    IdentifyConfig,
     IdentifyResult,
     enroll,
     fingerprint_match,

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .codec import profile_errors, profile_lines
+from .codec import profile_errors, profile_lines, set_once
 from .geometry import DramGeometry
 
 
@@ -69,8 +69,8 @@ class HammerPattern:
         return self.kind != PatternKind.NON_UNIFORM
 
     def max_row(self) -> int:
-        rows = victim_rows(self) + list(self.aggressor_offsets)
-        return max(rows)
+        # the victim above the top aggressor is always the highest row
+        return max(self.aggressor_offsets) + 1
 
 
 def build_pattern(kind: PatternKind | str, n: int, first_offset: int, rng_seed: int = 0) -> HammerPattern:
@@ -188,7 +188,7 @@ def parse_challenge(text: str) -> DramChallenge:
                 f, p, a = val.split(",")
                 temporal.append((float(f), float(p), float(a)))
             else:
-                fields[key] = val
+                set_once(fields, key, val, ChallengeError)
         pattern = HammerPattern(PatternKind(fields["hammering_pattern"]),
                                 tuple(int(x) for x in fields["aggressor_offsets"].split(",")),
                                 tuple(temporal) if temporal else None)

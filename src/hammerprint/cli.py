@@ -145,8 +145,7 @@ def cmd_identify(args) -> int:
     dataset = registry.load_dataset(_dataset_dir(args))
     with open(args.fingerprint) as fh:
         fp = decode_fingerprint(fh.read())
-    cfg = registry.IdentifyConfig(match_threshold=args.threshold)
-    result = registry.identify(dataset, fp, cfg)
+    result = registry.identify(dataset, fp, args.threshold)
     if result.decision == "matched":
         print(f"matched {result.device_id} similarity={result.similarity:.6g}")
         return EXIT_OK

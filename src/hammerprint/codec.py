@@ -22,6 +22,14 @@ def profile_lines(text: str) -> Iterator[tuple[str, str | None]]:
             yield key, value if eq else None
 
 
+def set_once(fields: dict, key: str, value, error: type[ValueError]) -> None:
+    """Store a single-valued key; a repeat raises ``error``, because
+    taking either copy would leave a text that does not round-trip."""
+    if key in fields:
+        raise error(f"repeated {key!r} line")
+    fields[key] = value
+
+
 def parse_bit_range(text: str) -> tuple[int, int]:
     """A ``lo:hi`` bit range."""
     lo, hi = text.split(":")

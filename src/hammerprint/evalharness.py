@@ -228,15 +228,14 @@ class DetectionResult:
         return _matrix_delimited("query", queries, self.enrolled_ids, self.matrix)
 
 
-def detection_experiment(n_devices: int = 8, seed: int = 0, replace: int = 0,
-                         witness_index: int | None = 0) -> DetectionResult:
+def detection_experiment(n_devices: int = 8, seed: int = 0, replace: int = 0) -> DetectionResult:
     """Enroll a fleet, then re-detect it under permuted labels.
 
     Each device enrolls three queries. Phase two queries each device once
     with fresh virtual attributes (label, MAC, IP) and runs identification.
     ``replace`` devices are swapped for fresh hardware before phase two and
-    must come back as new. The ``witness_index`` device is built with
-    deterministic flips, so its re-detection overlap is exactly 1.
+    must come back as new. The first device is built with deterministic
+    flips, so its re-detection overlap is exactly 1.
     """
     if n_devices < 2:
         raise ExperimentError("need at least two devices")
@@ -249,7 +248,7 @@ def detection_experiment(n_devices: int = 8, seed: int = 0, replace: int = 0,
         noise = deterministic_noise() if make_witness else None
         return new_sim_device(rng.getrandbits(64), rng.getrandbits(64), noise=noise)
 
-    devices = [fresh_device(i == witness_index) for i in range(n_devices)]
+    devices = [fresh_device(i == 0) for i in range(n_devices)]
 
     dataset = FingerprintDataset(challenge_hash(ch))
     enrolled_ids = []

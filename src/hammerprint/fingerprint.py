@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable
 
-from .codec import profile_lines
+from .codec import profile_lines, set_once
 
 
 class FingerprintError(ValueError):
@@ -146,7 +146,8 @@ def decode_fingerprint(text: str) -> Fingerprint:
     """Parse a fingerprint file written in the profile line syntax.
 
     A line without ``=`` is a location; ``challenge``, ``time`` and
-    ``hint`` are the headers. Blank and ``#`` lines are skipped.
+    ``hint`` are the headers, each at most once. Blank and ``#`` lines
+    are skipped.
     """
     headers: dict[str, str] = {}
     locations = set()
@@ -154,7 +155,7 @@ def decode_fingerprint(text: str) -> Fingerprint:
         if value is None:
             locations.add(_parse_location(key))
         elif key in ("challenge", "time", "hint"):
-            headers[key] = value
+            set_once(headers, key, value, FingerprintError)
         else:
             raise FingerprintError(f"bad fingerprint line: {key + '=' + value!r}")
     if "challenge" not in headers:

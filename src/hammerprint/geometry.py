@@ -8,12 +8,14 @@ solving for the null space of their XOR differences over GF(2).
 
 from __future__ import annotations
 
+import math
 import random
 import statistics
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import gf2
-from .codec import parse_bit_range, profile_errors, profile_lines
+from .codec import parse_bit_range, profile_errors, profile_lines, set_once
 
 
 class GeometryError(ValueError):
@@ -68,8 +70,7 @@ class DramGeometry:
         return 1 << self.address_bits
 
 
-@dataclass(frozen=True)
-class DramAddress:
+class DramAddress(NamedTuple):
     bank: int
     row: int
     column: int
@@ -195,7 +196,7 @@ def parse_mapping(text: str) -> AddressMapping:
             if val is None:
                 funcs.append(int(key, 16))
             elif key in ("row", "col"):
-                ranges[key] = parse_bit_range(val)
+                set_once(ranges, key, parse_bit_range(val), MappingError)
             else:
                 raise MappingError(f"bad mapping line: {key}={val}")
         return AddressMapping(tuple(funcs), ranges["row"], ranges["col"])
@@ -205,11 +206,13 @@ def timing_threshold(samples: list[float]) -> float:
     """Two-class split threshold maximizing between-class variance.
 
     Deterministic: candidate splits are scanned in sorted order and the
-    first maximizer wins. Raises ValueError on fewer than two samples or
-    when every sample is identical.
+    first maximizer wins. Raises ValueError on fewer than two samples, on
+    a non-finite sample, or when every sample is identical.
     """
     if len(samples) < 2:
         raise ValueError("need at least two samples")
+    if not all(map(math.isfinite, samples)):
+        raise ValueError("non-finite sample: no separation")
     xs = sorted(samples)
     if xs[0] == xs[-1]:
         raise ValueError("all samples identical: no separation")

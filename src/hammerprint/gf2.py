@@ -61,28 +61,18 @@ def null_space(rows: list[int], n_bits: int) -> list[int]:
 def solve(rows: list[int], rhs: list[int]) -> int | None:
     """Minimum-value x with parity(x & rows[i]) = rhs[i] for all i.
 
-    Returns None when the system is inconsistent. With pivots at lowest
-    bit indices and free variables forced to zero, the solution is the
-    smallest integer satisfying the system: any other solution differs
-    by a null vector whose highest bit lands on a free column.
+    Returns None when the system is inconsistent. Each rhs bit rides in
+    a column above every row bit, so a basis row of the augmented rref
+    whose pivot is that column reads 0 = 1. With pivots at lowest bit
+    indices and free variables forced to zero, x is the smallest
+    solution: any other differs by a null vector whose highest bit lands
+    on a free column.
     """
-    work = list(zip(rows, rhs))
-    reduced: list[tuple[int, int]] = []
-    for row, r in work:
-        for b, br in reduced:
-            low = b & -b
-            if row & low:
-                row ^= b
-                r ^= br
-        if row == 0:
-            if r:
-                return None
-            continue
-        low = row & -row
-        reduced = [(b ^ row, br ^ r) if b & low else (b, br) for b, br in reduced]
-        reduced.append((row, r))
+    one = 1 << max(rows, default=0).bit_length()
     x = 0
-    for row, r in reduced:
-        if r:
+    for row in rref([row | (one if r else 0) for row, r in zip(rows, rhs)]):
+        if row == one:
+            return None
+        if row & one:
             x |= row & -row
     return x

@@ -56,23 +56,6 @@ class FingerprintDataset:
     challenge_hash: str
     records: dict[str, DeviceRecord] = field(default_factory=dict)
 
-    def __len__(self) -> int:
-        return len(self.records)
-
-
-@dataclass(frozen=True)
-class IdentifyConfig:
-    """Matching knob: the stage-1 Jaccard a candidate must exceed.
-
-    The best-ranked candidate always wins; there is no stage-2 floor.
-    """
-
-    match_threshold: float = 0.4
-
-    def __post_init__(self):
-        if not 0.0 < self.match_threshold < 1.0:
-            raise DatasetError("match_threshold must lie in (0, 1)")
-
 
 @dataclass(frozen=True)
 class IdentifyResult:
@@ -102,21 +85,25 @@ def generate_new_id(dataset: FingerprintDataset) -> str:
 
 
 def identify(dataset: FingerprintDataset, f_u: Fingerprint,
-             cfg: IdentifyConfig = IdentifyConfig()) -> IdentifyResult:
+             threshold: float = 0.4) -> IdentifyResult:
     """Match a new fingerprint against the dataset.
 
-    Pure in (dataset, f_u, cfg): record iteration order never affects the
-    result because ranking ties break on the lexicographically smallest
-    id. Returns the matched id, or a freshly minted id with decision
-    "new" (the caller decides whether to enroll it).
+    A candidate's stage-1 Jaccard must exceed ``threshold``, in (0, 1),
+    and the best-ranked candidate wins. Pure in (dataset, f_u,
+    threshold): record order never affects the result because ranking
+    ties break on the lexicographically smallest id. Returns the matched
+    id, or a freshly minted id with decision "new" (the caller decides
+    whether to enroll it).
     """
+    if not 0.0 < threshold < 1.0:
+        raise DatasetError("match_threshold must lie in (0, 1)")
     if not f_u.locations:
         raise FingerprintError("cannot identify an empty fingerprint")
     if f_u.challenge_hash != dataset.challenge_hash:
         raise ChallengeMismatchError("fingerprint and dataset use different challenges")
 
-    candidates = [r for _, r in sorted(dataset.records.items())
-                  if fingerprint_match(f_u, r.representative, cfg.match_threshold)]
+    candidates = [r for r in dataset.records.values()
+                  if fingerprint_match(f_u, r.representative, threshold)]
     if not candidates:
         return IdentifyResult(generate_new_id(dataset), "new")
     best_sim, best_id = min(((get_similarity(f_u, r), r.id) for r in candidates),

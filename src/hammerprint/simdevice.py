@@ -23,13 +23,14 @@ Two details carry the measured statistics:
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import NamedTuple
 
 from .challenge import DramChallenge, victim_rows
-from .codec import parse_bit_range, profile_errors, profile_lines
+from .codec import parse_bit_range, profile_errors, profile_lines, set_once
 from .fingerprint import FlipLocation, Fingerprint, from_measurements
 from .geometry import (
     AddressMapping,
@@ -91,6 +92,9 @@ class NoiseConfig:
             raise DeviceError("susceptibility_density must be >= 0")
         if self.timing_conflict_gap < 0 or self.timing_sigma < 0:
             raise DeviceError("timing parameters must be >= 0")
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise DeviceError(f"{f.name} must be finite, got {getattr(self, f.name)}")
 
 
 class SusceptibleCell(NamedTuple):
@@ -296,21 +300,15 @@ def deterministic_noise(noise: NoiseConfig | None = None) -> NoiseConfig:
 # --- device profile serialization -------------------------------------------
 
 def encode_device(dev: SimDevice) -> str:
-    g, t = dev.geom, dev.trr
-    lines = [
-        f"dimm_seed={dev.dimm_seed:#x}",
-        f"host_seed={dev.host_seed:#x}",
-        f"banks={g.banks}",
-        f"rows_per_bank={g.rows_per_bank}",
-        f"columns_per_row={g.columns_per_row}",
-        f"address_bits={g.address_bits}",
-    ]
+    t = dev.trr
+    lines = [f"dimm_seed={dev.dimm_seed:#x}", f"host_seed={dev.host_seed:#x}"]
+    # the geometry and noise lines follow their classes' field order
+    lines += [f"{f.name}={getattr(dev.geom, f.name)}" for f in fields(DramGeometry)]
     lines += [f"bankfn={f:#x}" for f in dev.mapping.bank_functions]
     lines.append(f"row={dev.mapping.row_bits[0]}:{dev.mapping.row_bits[1]}")
     lines.append(f"col={dev.mapping.column_bits[0]}:{dev.mapping.column_bits[1]}")
     lines.append(f"trr_enabled={int(t.enabled)}")
     lines.append(f"trr_sampler_size={t.sampler_size}")
-    # the noise lines follow NoiseConfig's field order
     lines += [f"{f.name}={getattr(dev.noise, f.name)!r}" for f in fields(NoiseConfig)]
     return "\n".join(lines) + "\n"
 
@@ -325,13 +323,8 @@ def parse_device(text: str) -> SimDevice:
             if key == "bankfn":
                 funcs.append(int(val, 16))
             else:
-                values[key] = val
-        geom = DramGeometry(
-            banks=int(values["banks"]),
-            rows_per_bank=int(values["rows_per_bank"]),
-            columns_per_row=int(values["columns_per_row"]),
-            address_bits=int(values["address_bits"]),
-        )
+                set_once(values, key, val, DeviceError)
+        geom = DramGeometry(**{f.name: int(values[f.name]) for f in fields(DramGeometry)})
         mapping = AddressMapping(tuple(funcs), parse_bit_range(values["row"]),
                                  parse_bit_range(values["col"]))
         trr = TrrConfig(

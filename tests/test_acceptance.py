@@ -43,7 +43,6 @@ from hammerprint.geometry import (
 )
 from hammerprint.registry import (
     FingerprintDataset,
-    IdentifyConfig,
     enroll,
     identify,
 )
@@ -239,7 +238,7 @@ def _random_k1_dataset(rng: random.Random):
 
 def test_criterion_09_identification_determinism():
     rng = random.Random("acceptance-9")
-    cfg = IdentifyConfig(match_threshold=0.4)
+    cfg = 0.4
     agree = 0
     for _ in range(100):
         ds, query = _random_k1_dataset(rng)

@@ -107,6 +107,15 @@ class TestFingerprintCommand:
                        "--out", str(tmp_path / "x.fp")])
         assert rc == cli.EXIT_USAGE
 
+    def test_repeated_profile_key_is_usage_error(self, tmp_path, device_profile, capsys):
+        twice = tmp_path / "twice.prof"
+        twice.write_text(device_profile.read_text() + "banks=16\n")
+        out = tmp_path / "x.fp"
+        rc = cli.main(["fingerprint", "--device", str(twice), "--out", str(out)])
+        assert rc == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_multiline_timestamp_is_usage_error_and_writes_nothing(self, tmp_path,
                                                                    device_profile, capsys):
         out = tmp_path / "a.fp"
@@ -212,6 +221,17 @@ class TestEnrollIdentify:
             rc = cli.main(["--dataset", ds, "identify", str(fp_path), "--threshold", threshold])
             assert rc == cli.EXIT_USAGE
 
+    def test_repeated_challenge_header_is_usage_error(self, tmp_path, device_profile, capsys):
+        ds = str(tmp_path / "ds")
+        fp_path = write_fingerprint(tmp_path, device_profile, "q.fp", 14)
+        assert cli.main(["--dataset", ds, "enroll", str(fp_path)]) == 0
+        twice = tmp_path / "twice.fp"
+        twice.write_text("challenge=other\n" + fp_path.read_text())
+        capsys.readouterr()
+        for command in ("identify", "enroll"):
+            assert cli.main(["--dataset", ds, command, str(twice)]) == cli.EXIT_USAGE
+            assert capsys.readouterr().err.startswith("error: ")
+
     def test_dataset_env_var(self, tmp_path, device_profile, monkeypatch):
         ds = tmp_path / "envds"
         monkeypatch.setenv(cli.DATASET_ENV, str(ds))
@@ -281,6 +301,22 @@ class TestReverseMap:
         rc = cli.main(["reverse-map", "--device", str(prof),
                        "--out", str(tmp_path / "map.txt")])
         assert rc == cli.EXIT_RECOVERY_FAILURE
+
+    @pytest.mark.parametrize("field", ["timing_conflict_gap", "timing_sigma",
+                                       "susceptibility_density"])
+    def test_non_finite_noise_is_usage_error(self, tmp_path, device_profile, capsys, field):
+        for bad in ("nan", "inf"):
+            prof = tmp_path / f"{bad}.prof"
+            prof.write_text(re.sub(rf"(?m)^{field}=.*$", f"{field}={bad}",
+                                   device_profile.read_text()))
+            for command in (["reverse-map", "--out", str(tmp_path / "map.txt")],
+                            ["fingerprint", "--out", str(tmp_path / "q.fp")]):
+                capsys.readouterr()
+                assert cli.main([*command, "--device", str(prof)]) == cli.EXIT_USAGE
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and "finite" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["device.prof", "inf.prof",
+                                                              "nan.prof"]
 
     def test_impossible_probe_plan_is_usage_error(self, tmp_path, device_profile, capsys):
         out = tmp_path / "map.txt"

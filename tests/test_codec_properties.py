@@ -6,6 +6,7 @@ either succeed or raise that codec's own ValueError subclass.
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hammerprint import gf2
@@ -231,3 +232,22 @@ def test_mapping_parse_arbitrary(text):
     lambda fp: encode_fingerprint(Fingerprint(fp.locations, "c")))))
 def test_fingerprint_parse_arbitrary(text):
     parses_or_raises(decode_fingerprint, FingerprintError, text)
+
+
+# --- repeated keys --------------------------------------------------------------
+# The round trips above cover the lines that may repeat: ``temporal``,
+# ``bankfn``, mapping masks and locations.
+
+
+@pytest.mark.parametrize("parse, error, text, repeat", [
+    (parse_challenge, ChallengeError, encode_challenge(default_challenge()), "measurements=3"),
+    (parse_device, DeviceError, encode_device(new_sim_device(1, 2)), "banks=16"),
+    (parse_mapping, MappingError, "0x40\nrow=7:15\ncol=0:6\n", "row=8:16"),
+    (decode_fingerprint, FingerprintError, "challenge=c\nb0:r1:c2:i3\n", "challenge=d"),
+    (decode_fingerprint, FingerprintError, "challenge=c\ntime=1\n", "time=2"),
+], ids=["challenge", "device", "mapping", "fingerprint-challenge", "fingerprint-time"])
+def test_repeated_single_valued_key_is_refused(parse, error, text, repeat):
+    parse(text)
+    with pytest.raises(error, match="repeated"):
+        parse(text + repeat + "\n")
+

@@ -176,7 +176,7 @@ class TestDetection:
             detection_experiment(n_devices=4, replace=5)
 
     def test_report_and_matrix_render(self):
-        result = detection_experiment(n_devices=3, seed=104, witness_index=None)
+        result = detection_experiment(n_devices=3, seed=104)
         rep = result.to_report()
         assert len(rep.rows) == 3
         text = result.matrix_delimited()

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -102,6 +103,17 @@ class TestPhysToDram:
             assert da.bank == expect
 
 
+def test_dram_address_is_an_immutable_tuple():
+    da = DramAddress(1, 2, 3)
+    assert da == DramAddress(bank=1, row=2, column=3) == (1, 2, 3)
+    assert da != DramAddress(1, 2, 4)
+    assert hash(da) == hash((1, 2, 3))
+    assert (da.bank, da.row, da.column) == (1, 2, 3)
+    assert repr(da) == "DramAddress(bank=1, row=2, column=3)"
+    with pytest.raises(AttributeError):
+        da.bank = 5
+
+
 class TestDramToPhys:
     def test_zero(self, toy_geom, toy_mapping):
         assert dram_to_phys(DramAddress(0, 0, 0), toy_mapping, toy_geom) == 0
@@ -202,6 +214,11 @@ class TestTimingThreshold:
         with pytest.raises(ValueError):
             timing_threshold([7])
 
+    def test_non_finite_samples(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                timing_threshold([10.0, 50.0, 10.0, 50.0, bad])
+
 
 class TestRecovery:
     def test_single_bit_function_noiseless(self):
@@ -260,6 +277,15 @@ class TestRecovery:
         with pytest.raises(RecoveryError):
             recover_bank_functions(make_timing_oracle(dev, 3), toy_geom,
                                    ProbeConfig(seed=3))
+
+    def test_non_finite_oracle_raises_recovery_error(self, toy_geom, toy_mapping):
+        # every conflict reads inf, so no base has a usable threshold
+        def oracle(a, b):
+            same = phys_to_dram(a, toy_mapping, toy_geom).bank == \
+                phys_to_dram(b, toy_mapping, toy_geom).bank
+            return math.inf if same and a != b else 100.0
+        with pytest.raises(RecoveryError):
+            recover_bank_functions(oracle, toy_geom, ProbeConfig(seed=3))
 
     def test_impossible_probe_plan_is_a_usage_error(self):
         # below MIN_GOOD_BASES bases, or one partner (no threshold), recovery

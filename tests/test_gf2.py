@@ -1,6 +1,8 @@
 import itertools
 import random
 
+from hypothesis import example, given, settings, strategies as st
+
 from hammerprint import gf2
 
 
@@ -76,3 +78,24 @@ def test_solve_matches_brute_force_minimum():
             assert got == min(solutions)
         else:
             assert got is None
+
+
+@st.composite
+def systems(draw):
+    """(n_bits, rows, rhs) with 0-6 equations over 1-8 bits."""
+    n_bits = draw(st.integers(1, 8))
+    eqs = draw(st.lists(st.tuples(st.integers(0, (1 << n_bits) - 1), st.integers(0, 1)),
+                        max_size=6))
+    return n_bits, [r for r, _ in eqs], [b for _, b in eqs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+@example((1, [], []))
+@example((1, [0], [1]))  # 0 = 1
+@example((3, [0b011, 0b101, 0b110], [1, 1, 1]))  # third row is the sum of the others
+def test_solve_is_brute_force_minimum_or_none(system):
+    n_bits, rows, rhs = system
+    solutions = [x for x in range(1 << n_bits)
+                 if all(gf2.parity(x & r) == b for r, b in zip(rows, rhs))]
+    assert gf2.solve(rows, rhs) == (min(solutions) if solutions else None)

@@ -19,6 +19,10 @@ GOLDEN = {
         "b71fd48ca27089f1e053fe7f1930a885bb08e5d9a5b58cbde935ee3cbd6f9dee",
     "query.fp":
         "356f38b63ed6026fc11fbeeb7f8cfcf940186e4059528cd05546d2e734a39c1f",
+    "device.prof":
+        "276aca09db286fcdc2839f94e968ff587452d61115a41f639dca3d8e10f959a5",
+    "mapping.txt":
+        "a9892a9f47e9ce2001056f25f747127b6794955cbde349fa8d4f2457ef5afb1a",
 }
 
 
@@ -30,6 +34,8 @@ def test_default_seed_outputs_are_byte_identical(tmp_path, capsys):
     device, query = tmp_path / "device.prof", tmp_path / "query.fp"
     assert cli.main(["simulate", "new-device", "--out", str(device)]) == 0
     assert cli.main(["fingerprint", "--device", str(device), "--out", str(query)]) == 0
+    assert cli.main(["reverse-map", "--device", str(device),
+                     "--out", str(tmp_path / "mapping.txt")]) == 0
     for name in ("reliability", "tradeoff"):
         assert cli.main(["eval", name, "--out-dir", str(tmp_path)]) == 0
     assert {name: sha256(tmp_path / name) for name in GOLDEN} == GOLDEN

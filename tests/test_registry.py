@@ -16,7 +16,6 @@ from hammerprint.registry import (
     DatasetError,
     DeviceRecord,
     FingerprintDataset,
-    IdentifyConfig,
     enroll,
     fingerprint_match,
     generate_new_id,
@@ -101,7 +100,7 @@ class TestIdentify:
         ds = FingerprintDataset(H)
         enroll(ds, "dev-1", fp(block(0, 40)))
         query = fp(block(0, 30))
-        result = identify(ds, query, IdentifyConfig(match_threshold=0.4))
+        result = identify(ds, query, 0.4)
         assert result.decision == "matched"
         assert result.device_id == "dev-1"
         assert result.similarity == 1.0
@@ -113,7 +112,7 @@ class TestIdentify:
         query = fp(block(0, 90) | block(100, 10))
         assert fingerprint_match(query, ds.records["dev-1"].representative, 0.4)
         assert fingerprint_match(query, ds.records["dev-2"].representative, 0.4)
-        result = identify(ds, query, IdentifyConfig(match_threshold=0.4))
+        result = identify(ds, query, 0.4)
         # brute force over every device without the two-stage shortcut
         brute = max(
             ((jaccard_prime(query, r.union()), rid) for rid, r in ds.records.items()),

@@ -1,5 +1,7 @@
+import math
 import random
 import statistics
+from dataclasses import fields
 
 import pytest
 
@@ -60,6 +62,12 @@ class TestConfigValidation:
             NoiseConfig(susceptibility_density=-1)
         with pytest.raises(DeviceError):
             NoiseConfig(marginal_activation=-0.1)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(NoiseConfig)])
+    def test_noise_must_be_finite(self, name):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DeviceError):
+                NoiseConfig(**{name: bad})
 
     def test_seed_beyond_prf_encoding_is_device_error(self):
         ch = default_challenge()
