@@ -8,6 +8,7 @@ like-for-like sets are ever compared.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -61,6 +62,9 @@ class HammerPattern:
             if n == 0 or self.temporal is None or len(self.temporal) != n:
                 raise ChallengeError("non-uniform pattern needs aggressors, "
                                      "each with one temporal triple")
+            # a nan never equals itself, so its profile would not round-trip
+            if not all(math.isfinite(v) for triple in self.temporal for v in triple):
+                raise ChallengeError("temporal values must be finite")
         elif self.temporal is not None:
             raise ChallengeError(f"{kind.value} pattern carries no temporal parameters")
 

@@ -14,7 +14,7 @@ import re
 import tempfile
 from dataclasses import dataclass, field
 
-from .codec import profile_lines
+from .codec import profile_lines, set_once
 from .fingerprint import (
     ChallengeMismatchError,
     Fingerprint,
@@ -170,8 +170,11 @@ def load_dataset(directory: str) -> FingerprintDataset:
     meta_path = os.path.join(directory, META_NAME)
     if not os.path.exists(meta_path):
         raise DatasetError(f"no dataset at {directory!r} (missing {META_NAME})")
+    meta: dict[str, str | None] = {}
     with open(meta_path) as fh:
-        challenge = dict(profile_lines(fh.read())).get("challenge")
+        for key, value in profile_lines(fh.read()):
+            set_once(meta, key, value, DatasetError)
+    challenge = meta.get("challenge")
     if not challenge:
         raise DatasetError("dataset.meta lacks a challenge hash")
     dataset = FingerprintDataset(challenge)

@@ -103,9 +103,8 @@ class SusceptibleCell(NamedTuple):
     marginal: bool
 
 
-def _prf(*parts) -> int:
-    """Keyed 64-bit PRF over a tagged tuple of ints and strings."""
-    h = hashlib.blake2b(digest_size=8, key=b"hammerprint.simdevice")
+def _absorb(h, parts):
+    """Feed tagged ints and strings into a PRF state; returns the state."""
     try:
         for p in parts:
             if isinstance(p, str):
@@ -114,7 +113,24 @@ def _prf(*parts) -> int:
                 h.update(b"i" + int(p).to_bytes(17, "little", signed=True))
     except OverflowError:
         raise DeviceError("seed does not fit the PRF's 17-byte signed encoding") from None
-    return int.from_bytes(h.digest(), "little")
+    return h
+
+
+_PRF_EMPTY = hashlib.blake2b(digest_size=8, key=b"hammerprint.simdevice")
+
+
+def _prf_prefix(*parts):
+    """A PRF state that has absorbed ``parts``, to pass as ``_prf(prefix=...)``."""
+    return _absorb(_PRF_EMPTY.copy(), parts)
+
+
+def _prf(*parts, prefix=_PRF_EMPTY) -> int:
+    """Keyed 64-bit PRF over a tagged tuple of ints and strings.
+
+    blake2b is streamed, so ``_prf(*tail, prefix=_prf_prefix(*head))``
+    equals ``_prf(*head, *tail)``; the prefix state is copied, not changed.
+    """
+    return int.from_bytes(_absorb(prefix.copy(), parts).digest(), "little")
 
 
 @dataclass(frozen=True)
@@ -149,10 +165,24 @@ class SimDevice:
         u = _prf("density", self.device_key) / 2**64
         return 0.85 + 0.40 * u
 
+    @cached_property
+    def _row_cells(self) -> dict[tuple[int, int], tuple[SusceptibleCell, ...]]:
+        return {}
+
     def susceptible_cells(self, bank: int, row: int) -> tuple[SusceptibleCell, ...]:
-        """Latent susceptibility of one row; pure in (seeds, bank, row)."""
-        if not (0 <= bank < self.geom.banks and 0 <= row < self.geom.rows_per_bank):
-            raise GeometryError(f"bank {bank} / row {row} outside geometry")
+        """Latent susceptibility of one row; pure in (seeds, bank, row).
+
+        Each row is drawn once per device and kept, so every query of the
+        device shares the row's cells and their ``FlipLocation`` objects.
+        """
+        cells = self._row_cells.get((bank, row))
+        if cells is None:
+            if not (0 <= bank < self.geom.banks and 0 <= row < self.geom.rows_per_bank):
+                raise GeometryError(f"bank {bank} / row {row} outside geometry")
+            cells = self._row_cells[bank, row] = self._draw_cells(bank, row)
+        return cells
+
+    def _draw_cells(self, bank: int, row: int) -> tuple[SusceptibleCell, ...]:
         positions = self.geom.columns_per_row * 8
         block = min(SUPPORT_BLOCK, positions)
         base = self.support_block_start
@@ -251,16 +281,23 @@ def hammer(dev: SimDevice, ch: DramChallenge, measurement_seed: int) -> list[set
     for its polarity. Aggressor rows never flip. All randomness is drawn
     from (device key, measurement_seed), so identical calls agree bit for
     bit.
+
+    Every random stream is seeded from its own (tag, t, bank, row) PRF
+    input, so skipping one moves no other draw. A row with no eligible
+    cell, or with no active one, skips its per-measurement streams: they
+    could not flip anything, so the flip sets are the same as if they
+    were drawn.
     """
     ch.validate_for(dev.geom)
     results: list[set[FlipLocation]] = [set() for _ in range(ch.measurements)]
     if trr_neutralizes(dev, ch):
         return results
     victims = victim_rows(ch.pattern)
-    key = dev.device_key
     p_flip = dev.noise.p_flip_given_susceptible
     activation = dev.noise.marginal_activation
     victim_value = ch.data.victim_value
+    act_prefix = _prf_prefix("act", dev.device_key, measurement_seed)
+    meas_prefix = _prf_prefix("meas", dev.device_key, measurement_seed)
     for bank in ch.bank_range:
         for row in victims:
             cells = dev.susceptible_cells(bank, row)
@@ -269,10 +306,12 @@ def hammer(dev: SimDevice, ch: DramChallenge, measurement_seed: int) -> list[set
             eligible = [c for c in cells if (victim_value >> c.location.bit) & 1 == c.polarity]
             if not eligible:
                 continue
-            arng = random.Random(_prf("act", key, measurement_seed, bank, row))
+            arng = random.Random(_prf(bank, row, prefix=act_prefix))
             active = [not c.marginal or arng.random() < activation for c in eligible]
+            if not any(active):
+                continue
             for t, flips in enumerate(results):
-                mrng = random.Random(_prf("meas", key, measurement_seed, t, bank, row))
+                mrng = random.Random(_prf(t, bank, row, prefix=meas_prefix))
                 # every eligible cell draws, active or not, so each draw
                 # stays tied to its cell
                 for cell, act in zip(eligible, active):

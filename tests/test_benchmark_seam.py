@@ -11,6 +11,9 @@ nothing is written next to it.
 import types
 from pathlib import Path
 
+from hammerprint import simdevice
+from hammerprint.challenge import default_challenge
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
@@ -33,3 +36,17 @@ def test_tracer_installs_and_uninstalls_cleanly():
     finally:
         tracer.uninstall()
     assert {owner: dict(vars(owner)) for owner in owners} == before
+
+
+def test_traced_query_counts_prf_calls_and_row_spans():
+    # the per-layer counters must still see the simulator's hashing and
+    # its 115 victim rows (5 banks x 23 rows) however they are computed
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        simdevice.run_query(simdevice.new_sim_device(1, 2), default_challenge(), 3)
+    finally:
+        tracer.uninstall()
+    rows = [span for span in tracer.spans if span[0] == "simdevice.susceptible_cells"]
+    assert len(rows) == 115
+    assert tracer.counts["simdevice.prf", None] > 0

@@ -107,6 +107,20 @@ class TestFingerprintCommand:
                        "--out", str(tmp_path / "x.fp")])
         assert rc == cli.EXIT_USAGE
 
+    def test_non_finite_temporal_challenge_is_usage_error(self, tmp_path, device_profile,
+                                                         capsys):
+        ch = DramChallenge((0,), 1, build_pattern(PatternKind.NON_UNIFORM, 1, 1),
+                           DataPattern(), 1, 2)
+        ch_path = tmp_path / "nan.ch"
+        ch_path.write_text(re.sub(r"(?m)^temporal=.*$", "temporal=nan,0.5,inf",
+                                  encode_challenge(ch)))
+        out = tmp_path / "x.fp"
+        rc = cli.main(["fingerprint", "--device", str(device_profile),
+                       "--challenge", str(ch_path), "--out", str(out)])
+        assert rc == cli.EXIT_USAGE
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_profile_key_is_usage_error(self, tmp_path, device_profile, capsys):
         twice = tmp_path / "twice.prof"
         twice.write_text(device_profile.read_text() + "banks=16\n")
@@ -231,6 +245,17 @@ class TestEnrollIdentify:
         for command in ("identify", "enroll"):
             assert cli.main(["--dataset", ds, command, str(twice)]) == cli.EXIT_USAGE
             assert capsys.readouterr().err.startswith("error: ")
+
+    def test_repeated_meta_challenge_is_usage_error(self, tmp_path, device_profile, capsys):
+        ds = tmp_path / "ds"
+        fp_path = write_fingerprint(tmp_path, device_profile, "q.fp", 15)
+        assert cli.main(["--dataset", str(ds), "enroll", str(fp_path)]) == 0
+        meta = ds / "dataset.meta"
+        meta.write_text(meta.read_text() + "challenge=other\n")
+        capsys.readouterr()
+        for command in ("identify", "enroll"):
+            assert cli.main(["--dataset", str(ds), command, str(fp_path)]) == cli.EXIT_USAGE
+            assert "repeated 'challenge'" in capsys.readouterr().err
 
     def test_dataset_env_var(self, tmp_path, device_profile, monkeypatch):
         ds = tmp_path / "envds"

@@ -47,7 +47,7 @@ from hammerprint.simdevice import (
 
 FEW = settings(max_examples=60, deadline=None)
 
-finite = st.floats(allow_nan=False)
+finite = st.floats(allow_nan=False, allow_infinity=False)
 unit = st.floats(0.0, 1.0)
 nonneg = st.floats(0.0, 1e6)
 
@@ -232,6 +232,23 @@ def test_mapping_parse_arbitrary(text):
     lambda fp: encode_fingerprint(Fingerprint(fp.locations, "c")))))
 def test_fingerprint_parse_arbitrary(text):
     parses_or_raises(decode_fingerprint, FingerprintError, text)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("slot", range(3))
+def test_non_finite_temporal_value_is_refused(bad, slot):
+    lines = encode_challenge(replace(default_challenge(),
+                                     pattern=build_pattern(PatternKind.NON_UNIFORM, 3, 1))
+                             ).splitlines()
+    triple = ["1.0", "0.5", "1.0"]
+    triple[slot] = bad
+    first = next(i for i, line in enumerate(lines) if line.startswith("temporal="))
+    lines[first] = "temporal=" + ",".join(triple)
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ChallengeError, match="finite"):
+        parse_challenge(text)
+    with pytest.raises(ChallengeError, match="finite"):
+        HammerPattern(PatternKind.NON_UNIFORM, (1,), (tuple(map(float, triple)),))
 
 
 # --- repeated keys --------------------------------------------------------------

@@ -1,25 +1,39 @@
-"""Property test: the one-pass ``hammer`` against the two-pass reference.
+"""Property tests: ``hammer`` against a two-pass reference, and the row cache.
 
-``reference_hammer`` keeps the earlier implementation: a staging pass
-over every victim row, then one pass per measurement that rebuilds each
-flip's location. Each ``random.Random`` is seeded from its own PRF tag,
-so visiting rows before measurements must draw the same numbers and give
-the same flip sets with the same number of PRF calls.
+``reference_hammer`` keeps an earlier implementation: a staging pass over
+every victim row, then one pass per measurement that rebuilds each flip's
+location. It hashes each ``act`` and ``meas`` input in full with its own
+copy of the PRF construction, so it checks ``hammer``'s prefix states
+independently. Each ``random.Random`` is seeded from its own PRF input,
+so visiting rows before measurements, or skipping a row that cannot
+flip, must give the same flip sets with no more PRF calls.
 """
 
+import hashlib
 import random
 from contextlib import contextmanager
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hammerprint import simdevice as sd
 from hammerprint.challenge import DataPattern, DramChallenge, PatternKind, build_pattern, victim_rows
 from hammerprint.fingerprint import FlipLocation
-from hammerprint.geometry import DramGeometry, canonical_mapping
+from hammerprint.geometry import DramGeometry, GeometryError, canonical_mapping
 
 
-def reference_hammer(dev, ch, measurement_seed):
+def reference_prf(*parts):
+    h = hashlib.blake2b(digest_size=8, key=b"hammerprint.simdevice")
+    for p in parts:
+        if isinstance(p, str):
+            h.update(b"s" + p.encode())
+        else:
+            h.update(b"i" + int(p).to_bytes(17, "little", signed=True))
+    return int.from_bytes(h.digest(), "little")
+
+
+def reference_hammer(dev, ch, measurement_seed, prf):
     ch.validate_for(dev.geom)
     if sd.trr_neutralizes(dev, ch):
         return [set() for _ in range(ch.measurements)]
@@ -36,7 +50,7 @@ def reference_hammer(dev, ch, measurement_seed):
             eligible = [c for c in cells if (victim_value >> c.location.bit) & 1 == c.polarity]
             if not eligible:
                 continue
-            arng = random.Random(sd._prf("act", key, measurement_seed, bank, row))
+            arng = random.Random(prf("act", key, measurement_seed, bank, row))
             active = [not c.marginal or arng.random() < activation for c in eligible]
             rows.append((bank, row, eligible, active))
 
@@ -44,7 +58,7 @@ def reference_hammer(dev, ch, measurement_seed):
     for t in range(ch.measurements):
         flips = set()
         for bank, row, eligible, active in rows:
-            mrng = random.Random(sd._prf("meas", key, measurement_seed, t, bank, row))
+            mrng = random.Random(prf("meas", key, measurement_seed, t, bank, row))
             for cell, act in zip(eligible, active):
                 u = mrng.random()
                 if act and u < p_flip:
@@ -55,15 +69,20 @@ def reference_hammer(dev, ch, measurement_seed):
 
 @contextmanager
 def counting_prf():
+    """Count ``simdevice._prf`` calls; yields the counter and the counted PRF."""
     calls = [0]
     real = sd._prf
 
-    def counted(*parts):
+    def counted(*parts, **kwargs):
         calls[0] += 1
-        return real(*parts)
+        return real(*parts, **kwargs)
+
+    def counted_reference(*parts):
+        calls[0] += 1
+        return reference_prf(*parts)
 
     with mock.patch.object(sd, "_prf", counted):
-        yield calls
+        yield calls, counted_reference
 
 
 PATTERNS = (
@@ -76,12 +95,30 @@ PATTERNS = (
 
 
 @st.composite
-def cases(draw):
+def setups(draw):
+    """Seeds, geometry, TRR and noise of a device."""
     geom_args = dict(banks=draw(st.sampled_from([1, 2, 4, 8])),
                      rows_per_bank=draw(st.sampled_from([32, 64])),
                      columns_per_row=draw(st.sampled_from([2, 8, 64, 256])))
     bits = sum(n.bit_length() - 1 for n in geom_args.values())
     geom = DramGeometry(address_bits=bits + draw(st.integers(0, 2)), **geom_args)
+    noise = sd.NoiseConfig(susceptibility_density=draw(st.sampled_from([2.0, 12.0, 40.0])))
+    if draw(st.booleans()):
+        noise = sd.deterministic_noise(noise)
+    trr = sd.TrrConfig(enabled=draw(st.booleans()), sampler_size=draw(st.integers(1, 16)))
+    seeds = draw(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)))
+    return seeds, geom, trr, noise
+
+
+def new_device(setup):
+    (dimm, host), geom, trr, noise = setup
+    return sd.new_sim_device(dimm, host, geom=geom, mapping=canonical_mapping(geom),
+                             trr=trr, noise=noise)
+
+
+@st.composite
+def queries(draw, geom):
+    """A challenge valid for ``geom`` and a measurement seed."""
     kind, count = draw(st.sampled_from(PATTERNS))
     first = draw(st.integers(0, 5))
     pattern = build_pattern(kind, draw(count), first, draw(st.integers(0, 2**32)))
@@ -90,28 +127,47 @@ def cases(draw):
     ch = DramChallenge(bank_range=tuple(banks), first_aggressor_offset=first, pattern=pattern,
                        data=DataPattern(draw(st.integers(0, 0xFF)), draw(st.integers(0, 0xFF))),
                        banks_measured=len(banks), measurements=draw(st.integers(1, 10)))
-    noise = sd.NoiseConfig(susceptibility_density=draw(st.sampled_from([2.0, 12.0, 40.0])))
-    if draw(st.booleans()):
-        noise = sd.deterministic_noise(noise)
-    trr = sd.TrrConfig(enabled=draw(st.booleans()), sampler_size=draw(st.integers(1, 16)))
-    seeds = draw(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)))
-    return seeds, geom, trr, noise, ch, draw(st.integers(0, 2**32))
+    return ch, draw(st.integers(0, 2**32))
+
+
+@st.composite
+def cases(draw, min_queries=1, max_queries=1):
+    setup = draw(setups())
+    return setup, draw(st.lists(queries(setup[1]), min_size=min_queries, max_size=max_queries))
 
 
 @settings(max_examples=60, deadline=None)
 @given(cases())
 def test_one_pass_hammer_matches_two_pass_reference(case):
-    (dimm, host), geom, trr, noise, ch, measurement_seed = case
-
-    def fresh_device():
-        # a new device per run, so both runs fill the cached device values
-        return sd.new_sim_device(dimm, host, geom=geom, mapping=canonical_mapping(geom),
-                                 trr=trr, noise=noise)
-
-    with counting_prf() as want_calls:
-        want = reference_hammer(fresh_device(), ch, measurement_seed)
-    with counting_prf() as got_calls:
-        got = sd.hammer(fresh_device(), ch, measurement_seed)
+    setup, [(ch, measurement_seed)] = case
+    # a new device per run, so both runs fill the cached device values
+    with counting_prf() as (want_calls, prf):
+        want = reference_hammer(new_device(setup), ch, measurement_seed, prf)
+    with counting_prf() as (got_calls, _):
+        got = sd.hammer(new_device(setup), ch, measurement_seed)
     assert got == want
-    assert got_calls[0] == want_calls[0]
+    assert got_calls[0] <= want_calls[0]
     assert all(type(loc) is FlipLocation for flips in got for loc in flips)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases(min_queries=2, max_queries=5), st.data())
+def test_warm_device_matches_fresh_devices(case, data):
+    setup, runs = case
+    warm = new_device(setup)
+    got = [sd.hammer(warm, ch, seed) for ch, seed in runs]
+    assert got == [sd.hammer(new_device(setup), ch, seed) for ch, seed in runs]
+
+    # the row cache hands every query of a device the same location objects
+    first: dict[FlipLocation, FlipLocation] = {}
+    for flips in (flips for sets in got for flips in sets):
+        assert all(first.setdefault(loc, loc) is loc for loc in flips)
+
+    geom = setup[1]
+    bank, row = data.draw(st.tuples(st.integers(-3, geom.banks + 2),
+                                    st.integers(-3, geom.rows_per_bank + 2)).filter(
+        lambda br: not (0 <= br[0] < geom.banks and 0 <= br[1] < geom.rows_per_bank)))
+    cached = dict(warm._row_cells)
+    with pytest.raises(GeometryError):
+        warm.susceptible_cells(bank, row)
+    assert warm._row_cells == cached

@@ -237,6 +237,16 @@ class TestPersistence:
         assert f"challenge={H}" in meta
         assert "id_counter=8" in meta
 
+    def test_repeated_meta_key_is_refused(self, tmp_path):
+        ds = FingerprintDataset(H)
+        enroll(ds, "dev-1", fp(block(0, 4)))
+        path = tmp_path / "ds"
+        save_dataset(ds, str(path))
+        meta = path / "dataset.meta"
+        meta.write_text(meta.read_text() + "challenge=" + "d" * 64 + "\n")
+        with pytest.raises(DatasetError, match="repeated 'challenge'"):
+            load_dataset(str(path))
+
     def test_load_missing_dataset(self, tmp_path):
         with pytest.raises(DatasetError):
             load_dataset(str(tmp_path / "nope"))
