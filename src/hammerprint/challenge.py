@@ -59,12 +59,15 @@ class HammerPattern:
         if kind == PatternKind.N_SIDED and n < 3:
             raise ChallengeError("n-sided pattern needs at least 3 aggressors")
         if kind == PatternKind.NON_UNIFORM:
-            if n == 0 or self.temporal is None or len(self.temporal) != n:
+            if (n == 0 or self.temporal is None or len(self.temporal) != n
+                    or any(len(triple) != 3 for triple in self.temporal)):
                 raise ChallengeError("non-uniform pattern needs aggressors, "
                                      "each with one temporal triple")
             # a nan never equals itself, so its profile would not round-trip
             if not all(math.isfinite(v) for triple in self.temporal for v in triple):
                 raise ChallengeError("temporal values must be finite")
+            if any(freq < 0 or amp < 0 for freq, _, amp in self.temporal):
+                raise ChallengeError("temporal frequency and amplitude must be nonnegative")
         elif self.temporal is not None:
             raise ChallengeError(f"{kind.value} pattern carries no temporal parameters")
 

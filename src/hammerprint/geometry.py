@@ -12,6 +12,7 @@ import math
 import random
 import statistics
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from . import gf2
@@ -100,13 +101,9 @@ class AddressMapping:
         if _ranges_overlap(self.row_bits, self.column_bits):
             raise MappingError("row and column bit ranges overlap")
 
-    def row_mask(self) -> int:
-        lo, hi = self.row_bits
-        return ((1 << (hi - lo)) - 1) << lo
-
-    def column_mask(self) -> int:
-        lo, hi = self.column_bits
-        return ((1 << (hi - lo)) - 1) << lo
+    @cached_property
+    def _layouts(self) -> dict[DramGeometry, _Layout]:
+        return {}
 
 
 def _ranges_overlap(a: tuple[int, int], b: tuple[int, int]) -> bool:
@@ -129,6 +126,32 @@ def check_consistent(mapping: AddressMapping, geom: DramGeometry) -> None:
         raise MappingError("bank function mask exceeds address_bits")
 
 
+class _Layout(NamedTuple):
+    """What resolving an address needs of a consistent (mapping, geometry) pair."""
+
+    bank_functions: tuple[tuple[int, int], ...]  # (bank bit i, XOR mask)
+    row_shift: int
+    row_mask: int
+    column_shift: int
+    column_mask: int
+
+
+def _layout(mapping: AddressMapping, geom: DramGeometry) -> _Layout:
+    """The pair's layout, checked with ``check_consistent`` on first use.
+
+    Kept on the mapping per geometry; a pair that fails the check stores
+    nothing, so it raises MappingError on every call.
+    """
+    layout = mapping._layouts.get(geom)
+    if layout is None:
+        check_consistent(mapping, geom)
+        layout = mapping._layouts[geom] = _Layout(
+            tuple(enumerate(mapping.bank_functions)),
+            mapping.row_bits[0], geom.rows_per_bank - 1,
+            mapping.column_bits[0], geom.columns_per_row - 1)
+    return layout
+
+
 def canonical_mapping(geom: DramGeometry) -> AddressMapping:
     """Controller-style layout: column low, bank home bits, then row.
 
@@ -144,16 +167,18 @@ def canonical_mapping(geom: DramGeometry) -> AddressMapping:
 
 
 def phys_to_dram(addr: int, mapping: AddressMapping, geom: DramGeometry) -> DramAddress:
-    """Resolve a physical address to (bank, row, column)."""
+    """Resolve a physical address to (bank, row, column).
+
+    The address range is checked on every call, the (mapping, geometry)
+    pair only on its first; see ``_layout``.
+    """
     if not 0 <= addr < geom.address_space:
         raise GeometryError(f"address {addr:#x} outside {geom.address_bits}-bit space")
-    check_consistent(mapping, geom)
+    funcs, row_shift, row_mask, col_shift, col_mask = _layout(mapping, geom)
     bank = 0
-    for i, f in enumerate(mapping.bank_functions):
-        bank |= gf2.parity(addr & f) << i
-    row = (addr >> mapping.row_bits[0]) & (geom.rows_per_bank - 1)
-    col = (addr >> mapping.column_bits[0]) & (geom.columns_per_row - 1)
-    return DramAddress(bank, row, col)
+    for i, f in funcs:
+        bank |= ((addr & f).bit_count() & 1) << i  # gf2.parity, inlined on this hot path
+    return DramAddress(bank, (addr >> row_shift) & row_mask, (addr >> col_shift) & col_mask)
 
 
 def dram_to_phys(da: DramAddress, mapping: AddressMapping, geom: DramGeometry) -> int:
@@ -164,17 +189,16 @@ def dram_to_phys(da: DramAddress, mapping: AddressMapping, geom: DramGeometry) -
     MappingError when the constraints restricted to the free bits are
     linearly dependent (no unique bank coordinate reachable).
     """
-    check_consistent(mapping, geom)
+    funcs, row_shift, row_mask, col_shift, col_mask = _layout(mapping, geom)
     if not (0 <= da.bank < geom.banks and 0 <= da.row < geom.rows_per_bank
             and 0 <= da.column < geom.columns_per_row):
         raise GeometryError(f"DRAM address {da} outside geometry bounds")
-    known_region = mapping.row_mask() | mapping.column_mask()
-    known = (da.row << mapping.row_bits[0]) | (da.column << mapping.column_bits[0])
-    free_masks = [f & ~known_region for f in mapping.bank_functions]
+    known_region = (row_mask << row_shift) | (col_mask << col_shift)
+    known = (da.row << row_shift) | (da.column << col_shift)
+    free_masks = [f & ~known_region for _, f in funcs]
     if gf2.rank(free_masks) != len(free_masks):
         raise MappingError("mapping not invertible: bank functions collapse outside row/column bits")
-    rhs = [((da.bank >> i) & 1) ^ gf2.parity(f & known)
-           for i, f in enumerate(mapping.bank_functions)]
+    rhs = [((da.bank >> i) & 1) ^ gf2.parity(f & known) for i, f in funcs]
     x = gf2.solve(free_masks, rhs)
     assert x is not None  # independent rows are always consistent
     return known | x

@@ -50,3 +50,20 @@ def test_traced_query_counts_prf_calls_and_row_spans():
     rows = [span for span in tracer.spans if span[0] == "simdevice.susceptible_cells"]
     assert len(rows) == 115
     assert tracer.counts["simdevice.prf", None] > 0
+
+
+def test_traced_access_time_resolves_each_address_once():
+    # the traced reverse_map metrics divide by the phys_to_dram spans that
+    # access_time makes through simdevice's module global
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        simdevice.access_time(simdevice.new_sim_device(1, 2), 0x1234, 0x5678, 3)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("simdevice.access_time") == 1
+    assert names.count("geometry.phys_to_dram") == 2
+    outer = names.index("simdevice.access_time")
+    assert all(span[3] == outer for span in tracer.spans
+               if span[0] == "geometry.phys_to_dram")

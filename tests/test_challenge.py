@@ -103,6 +103,9 @@ class TestPatternInvariants:
     def test_non_uniform_needs_temporal(self):
         with pytest.raises(ChallengeError):
             HammerPattern(PatternKind.NON_UNIFORM, (1, 3))
+        for short in ((1.0, 0.5),), ((1.0, 0.5, 1.0, 0.0),):
+            with pytest.raises(ChallengeError):
+                HammerPattern(PatternKind.NON_UNIFORM, (1,), short)
 
     def test_uniform_rejects_temporal(self):
         with pytest.raises(ChallengeError):

@@ -121,6 +121,21 @@ class TestFingerprintCommand:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_temporal_challenge_is_usage_error(self, tmp_path, device_profile,
+                                                        capsys):
+        ch = DramChallenge((0,), 1, build_pattern(PatternKind.NON_UNIFORM, 1, 1),
+                           DataPattern(), 1, 2)
+        for name, triple in (("freq", "-1.0,0.5,1.0"), ("amp", "1.0,0.5,-2.5")):
+            ch_path = tmp_path / f"{name}.ch"
+            ch_path.write_text(re.sub(r"(?m)^temporal=.*$", f"temporal={triple}",
+                                      encode_challenge(ch)))
+            out = tmp_path / f"{name}.fp"
+            rc = cli.main(["fingerprint", "--device", str(device_profile),
+                           "--challenge", str(ch_path), "--out", str(out)])
+            assert rc == cli.EXIT_USAGE
+            assert "nonnegative" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_repeated_profile_key_is_usage_error(self, tmp_path, device_profile, capsys):
         twice = tmp_path / "twice.prof"
         twice.write_text(device_profile.read_text() + "banks=16\n")

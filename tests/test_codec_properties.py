@@ -50,6 +50,7 @@ FEW = settings(max_examples=60, deadline=None)
 finite = st.floats(allow_nan=False, allow_infinity=False)
 unit = st.floats(0.0, 1.0)
 nonneg = st.floats(0.0, 1e6)
+nonneg_finite = st.floats(0.0, allow_infinity=False)
 
 # --- generators of valid values ----------------------------------------------
 
@@ -66,7 +67,7 @@ def patterns(draw):
                                   unique=True)))
     if kind == PatternKind.N_SIDED:
         return HammerPattern(kind, offsets)
-    triples = st.tuples(finite, finite, finite)
+    triples = st.tuples(nonneg_finite, finite, nonneg_finite)  # (freq, phase, amp)
     temporal = draw(st.lists(triples, min_size=len(offsets), max_size=len(offsets)))
     return HammerPattern(kind, offsets, tuple(temporal))
 
@@ -234,21 +235,43 @@ def test_fingerprint_parse_arbitrary(text):
     parses_or_raises(decode_fingerprint, FingerprintError, text)
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("slot", range(3))
-def test_non_finite_temporal_value_is_refused(bad, slot):
+def with_temporal_slot(slot: int, value: str) -> tuple[str, tuple[float, ...]]:
+    """A non-uniform challenge text whose first temporal triple has ``value``
+    in ``slot``, and that triple as floats."""
     lines = encode_challenge(replace(default_challenge(),
                                      pattern=build_pattern(PatternKind.NON_UNIFORM, 3, 1))
                              ).splitlines()
     triple = ["1.0", "0.5", "1.0"]
-    triple[slot] = bad
+    triple[slot] = value
     first = next(i for i, line in enumerate(lines) if line.startswith("temporal="))
     lines[first] = "temporal=" + ",".join(triple)
-    text = "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", tuple(map(float, triple))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("slot", range(3))
+def test_non_finite_temporal_value_is_refused(bad, slot):
+    text, triple = with_temporal_slot(slot, bad)
     with pytest.raises(ChallengeError, match="finite"):
         parse_challenge(text)
     with pytest.raises(ChallengeError, match="finite"):
-        HammerPattern(PatternKind.NON_UNIFORM, (1,), (tuple(map(float, triple)),))
+        HammerPattern(PatternKind.NON_UNIFORM, (1,), (triple,))
+
+
+@pytest.mark.parametrize("slot", [0, 2])  # frequency, amplitude
+def test_negative_frequency_or_amplitude_is_refused(slot):
+    text, triple = with_temporal_slot(slot, "-1.0")
+    with pytest.raises(ChallengeError, match="nonnegative"):
+        parse_challenge(text)
+    with pytest.raises(ChallengeError, match="nonnegative"):
+        HammerPattern(PatternKind.NON_UNIFORM, (1,), (triple,))
+
+
+def test_negative_phase_round_trips():
+    text, triple = with_temporal_slot(1, "-0.5")
+    ch = parse_challenge(text)
+    assert ch.pattern.temporal[0] == triple
+    assert parse_challenge(encode_challenge(ch)) == ch
 
 
 # --- repeated keys --------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_mapping
 from hammerprint import gf2
@@ -101,6 +102,85 @@ class TestPhysToDram:
             for i, f in enumerate(mapping.bank_functions):
                 expect |= naive_parity(addr, f) << i
             assert da.bank == expect
+
+
+class TestLayoutCache:
+    """A (mapping, geometry) pair is checked once and its layout kept."""
+
+    @staticmethod
+    def mismatched():
+        return AddressMapping((1 << 8,), (9, 17), (0, 8))  # one function, 8 banks
+
+    def test_mismatched_pair_raises_on_every_call(self, toy_geom):
+        bad = self.mismatched()
+        for _ in range(3):
+            with pytest.raises(MappingError):
+                phys_to_dram(0, bad, toy_geom)
+        with pytest.raises(MappingError):
+            dram_to_phys(DramAddress(0, 0, 0), bad, toy_geom)
+        assert bad._layouts == {}  # a failed check keeps nothing
+
+    def test_address_range_is_checked_before_consistency(self, toy_geom):
+        bad = self.mismatched()
+        for addr in (toy_geom.address_space, -1):
+            with pytest.raises(GeometryError):
+                phys_to_dram(addr, bad, toy_geom)
+        with pytest.raises(MappingError):
+            phys_to_dram(0, bad, toy_geom)
+
+    def test_one_mapping_keeps_a_layout_per_geometry(self, toy_geom):
+        mapping = canonical_mapping(toy_geom)
+        wider = DramGeometry(toy_geom.banks, toy_geom.rows_per_bank,
+                             toy_geom.columns_per_row, toy_geom.address_bits + 1)
+        taller = DramGeometry(toy_geom.banks, toy_geom.rows_per_bank * 2,
+                              toy_geom.columns_per_row, toy_geom.address_bits)
+        addr = toy_geom.address_space - 1
+        want = phys_to_dram(addr, mapping, toy_geom)
+        for _ in range(2):
+            assert phys_to_dram(addr, mapping, wider) == want
+            # the wider space admits an address the toy geometry refuses; its
+            # only set bit lies outside every bank function and bit range
+            assert phys_to_dram(addr + 1, mapping, wider) == DramAddress(0, 0, 0)
+            with pytest.raises(GeometryError):
+                phys_to_dram(addr + 1, mapping, toy_geom)
+            with pytest.raises(MappingError):
+                phys_to_dram(addr, mapping, taller)
+            assert phys_to_dram(addr, mapping, toy_geom) == want
+        assert set(mapping._layouts) == {toy_geom, wider}
+
+
+def naive_resolve(addr: int, mapping: AddressMapping, geom: DramGeometry) -> DramAddress:
+    """Bit-by-bit resolution, sharing no code with ``phys_to_dram``."""
+    bank = 0
+    for i, f in enumerate(mapping.bank_functions):
+        bank |= naive_parity(addr, f) << i
+    row = sum(((addr >> (mapping.row_bits[0] + k)) & 1) << k for k in range(geom.row_bits))
+    col = sum(((addr >> (mapping.column_bits[0] + k)) & 1) << k
+              for k in range(geom.column_bits))
+    return DramAddress(bank, row, col)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_cold_and_warm_mappings_resolve_like_the_naive_parity(data):
+    bb, rb, cb = (data.draw(st.integers(0, 4)), data.draw(st.integers(3, 9)),
+                  data.draw(st.integers(1, 9)))
+    geom = DramGeometry(1 << bb, 1 << rb, 1 << cb, bb + rb + cb + data.draw(st.integers(0, 3)))
+    warm = random_mapping(geom, random.Random(data.draw(st.integers(0, 2 ** 32))))
+
+    def cold():  # an equal mapping that has never resolved an address
+        return AddressMapping(warm.bank_functions, warm.row_bits, warm.column_bits)
+
+    addrs = data.draw(st.lists(st.integers(0, geom.address_space - 1), min_size=1,
+                               max_size=16))
+    for addr in addrs:
+        want = naive_resolve(addr, warm, geom)
+        assert phys_to_dram(addr, cold(), geom) == want
+        assert phys_to_dram(addr, warm, geom) == want
+        back = dram_to_phys(want, cold(), geom)
+        assert back == dram_to_phys(want, warm, geom)
+        assert naive_resolve(back, warm, geom) == want
+        assert phys_to_dram(back, warm, geom) == want
 
 
 def test_dram_address_is_an_immutable_tuple():
