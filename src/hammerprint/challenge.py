@@ -126,22 +126,26 @@ class DataPattern:
 @dataclass(frozen=True)
 class DramChallenge:
     bank_range: tuple[int, ...]
-    first_aggressor_offset: int
     pattern: HammerPattern
     data: DataPattern
-    banks_measured: int
     measurements: int
 
     def __post_init__(self):
         object.__setattr__(self, "bank_range", tuple(self.bank_range))
         if not self.bank_range:
             raise ChallengeError("bank_range must be nonempty")
-        if self.banks_measured != len(self.bank_range):
-            raise ChallengeError("banks_measured must equal the bank_range length")
         if len(set(self.bank_range)) != len(self.bank_range):
             raise ChallengeError("bank_range entries must be distinct")
         if self.measurements < 1:
             raise ChallengeError("measurements must be >= 1")
+
+    @property
+    def first_aggressor_offset(self) -> int:
+        return min(self.pattern.aggressor_offsets)
+
+    @property
+    def banks_measured(self) -> int:
+        return len(self.bank_range)
 
     def validate_for(self, geom: DramGeometry) -> None:
         if any(not 0 <= b < geom.banks for b in self.bank_range):
@@ -158,10 +162,8 @@ def default_challenge() -> DramChallenge:
     victim rows 0x55 / aggressor rows 0xAA, 10 measurements."""
     return DramChallenge(
         bank_range=tuple(range(5)),
-        first_aggressor_offset=1,
         pattern=build_pattern(PatternKind.N_SIDED, 22, 1),
         data=DataPattern(0x55, 0xAA),
-        banks_measured=5,
         measurements=10,
     )
 
@@ -199,14 +201,17 @@ def parse_challenge(text: str) -> DramChallenge:
         pattern = HammerPattern(PatternKind(fields["hammering_pattern"]),
                                 tuple(int(x) for x in fields["aggressor_offsets"].split(",")),
                                 tuple(temporal) if temporal else None)
-        return DramChallenge(
+        ch = DramChallenge(
             bank_range=tuple(int(b) for b in fields["bank_range"].split(",")),
-            first_aggressor_offset=int(fields["first_aggressor_offset"]),
             pattern=pattern,
             data=DataPattern(int(fields["data_victim"], 16), int(fields["data_aggressor"], 16)),
-            banks_measured=int(fields["banks_measured"]),
             measurements=int(fields["measurements"]),
         )
+        # derived values, still hashed: a line that disagrees would not round-trip
+        for key in ("first_aggressor_offset", "banks_measured"):
+            if int(fields[key]) != getattr(ch, key):
+                raise ChallengeError(f"{key}={fields[key]} disagrees with the challenge")
+        return ch
 
 
 def challenge_hash(ch: DramChallenge) -> str:

@@ -110,8 +110,25 @@ def _ranges_overlap(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[0] < b[1] and b[0] < a[1]
 
 
-def check_consistent(mapping: AddressMapping, geom: DramGeometry) -> None:
-    """Raise MappingError unless mapping sizes agree with the geometry."""
+class _Layout(NamedTuple):
+    """What resolving an address needs of a consistent (mapping, geometry) pair."""
+
+    bank_functions: tuple[tuple[int, int], ...]  # (bank bit i, XOR mask)
+    row_shift: int
+    row_mask: int
+    column_shift: int
+    column_mask: int
+
+
+def check_consistent(mapping: AddressMapping, geom: DramGeometry) -> _Layout:
+    """Check the pair on first use, then keep and return its layout.
+
+    Raises MappingError unless mapping sizes agree with the geometry; a
+    failing pair stores nothing, so it raises on every call.
+    """
+    layout = mapping._layouts.get(geom)
+    if layout is not None:
+        return layout
     if len(mapping.bank_functions) != geom.bank_bits:
         raise MappingError(
             f"{len(mapping.bank_functions)} bank functions for {geom.banks} banks"
@@ -124,31 +141,10 @@ def check_consistent(mapping: AddressMapping, geom: DramGeometry) -> None:
         raise MappingError("row/column ranges exceed address_bits")
     if max(mapping.bank_functions, default=0) >> geom.address_bits:
         raise MappingError("bank function mask exceeds address_bits")
-
-
-class _Layout(NamedTuple):
-    """What resolving an address needs of a consistent (mapping, geometry) pair."""
-
-    bank_functions: tuple[tuple[int, int], ...]  # (bank bit i, XOR mask)
-    row_shift: int
-    row_mask: int
-    column_shift: int
-    column_mask: int
-
-
-def _layout(mapping: AddressMapping, geom: DramGeometry) -> _Layout:
-    """The pair's layout, checked with ``check_consistent`` on first use.
-
-    Kept on the mapping per geometry; a pair that fails the check stores
-    nothing, so it raises MappingError on every call.
-    """
-    layout = mapping._layouts.get(geom)
-    if layout is None:
-        check_consistent(mapping, geom)
-        layout = mapping._layouts[geom] = _Layout(
-            tuple(enumerate(mapping.bank_functions)),
-            mapping.row_bits[0], geom.rows_per_bank - 1,
-            mapping.column_bits[0], geom.columns_per_row - 1)
+    layout = mapping._layouts[geom] = _Layout(
+        tuple(enumerate(mapping.bank_functions)),
+        mapping.row_bits[0], geom.rows_per_bank - 1,
+        mapping.column_bits[0], geom.columns_per_row - 1)
     return layout
 
 
@@ -170,11 +166,11 @@ def phys_to_dram(addr: int, mapping: AddressMapping, geom: DramGeometry) -> Dram
     """Resolve a physical address to (bank, row, column).
 
     The address range is checked on every call, the (mapping, geometry)
-    pair only on its first; see ``_layout``.
+    pair only on its first; see ``check_consistent``.
     """
     if not 0 <= addr < geom.address_space:
         raise GeometryError(f"address {addr:#x} outside {geom.address_bits}-bit space")
-    funcs, row_shift, row_mask, col_shift, col_mask = _layout(mapping, geom)
+    funcs, row_shift, row_mask, col_shift, col_mask = check_consistent(mapping, geom)
     bank = 0
     for i, f in funcs:
         bank |= ((addr & f).bit_count() & 1) << i  # gf2.parity, inlined on this hot path
@@ -189,7 +185,7 @@ def dram_to_phys(da: DramAddress, mapping: AddressMapping, geom: DramGeometry) -
     MappingError when the constraints restricted to the free bits are
     linearly dependent (no unique bank coordinate reachable).
     """
-    funcs, row_shift, row_mask, col_shift, col_mask = _layout(mapping, geom)
+    funcs, row_shift, row_mask, col_shift, col_mask = check_consistent(mapping, geom)
     if not (0 <= da.bank < geom.banks and 0 <= da.row < geom.rows_per_bank
             and 0 <= da.column < geom.columns_per_row):
         raise GeometryError(f"DRAM address {da} outside geometry bounds")

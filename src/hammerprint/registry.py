@@ -115,10 +115,10 @@ def enroll(dataset: FingerprintDataset, dev_id: str, fp: Fingerprint) -> Fingerp
     """Append a fingerprint to a device record, creating the record if new.
 
     The id names the device's directory in a saved dataset, so it must be
-    a single path component other than ``.`` and ``..``.
+    a single path component other than ``.``, ``..`` and ``dataset.meta``.
     """
-    if dev_id in ("", ".", "..") or os.path.basename(dev_id) != dev_id:
-        raise DatasetError(f"device id {dev_id!r} is not a single path component")
+    if dev_id in ("", ".", "..", META_NAME) or os.path.basename(dev_id) != dev_id:
+        raise DatasetError(f"device id {dev_id!r} cannot name a device directory")
     if not fp.locations:  # it could never match, yet would use up an id
         raise FingerprintError("cannot enroll an empty fingerprint")
     if fp.challenge_hash != dataset.challenge_hash:
@@ -134,9 +134,11 @@ def enroll(dataset: FingerprintDataset, dev_id: str, fp: Fingerprint) -> Fingerp
 # --- persistence -------------------------------------------------------------
 #
 # Layout: <dir>/dataset.meta plus one fingerprint file per enrolled entry,
-# <dir>/<id>/<k>.fp. Each file lands via write-temp-then-rename, so each file
-# is replaced atomically. A whole save is not: an interrupted save can leave
-# some files new and others old, and nothing is fsync'd.
+# <dir>/<id>/<k>.fp with k = 1..n in enroll order. Loading reads exactly
+# those names and refuses any other .fp name or a gap. Each file lands via
+# write-temp-then-rename, so each file is replaced atomically. A whole save
+# is not: an interrupted save can leave some files new and others old, and
+# nothing is fsync'd.
 
 META_NAME = "dataset.meta"
 
@@ -182,14 +184,16 @@ def load_dataset(directory: str) -> FingerprintDataset:
         dev_dir = os.path.join(directory, dev_id)
         if not os.path.isdir(dev_dir):
             continue
+        names = {name for name in os.listdir(dev_dir) if name.endswith(".fp")}
+        if not names:
+            continue  # an enroll interrupted before its first file landed
+        expected = [f"{k}.fp" for k in range(1, len(names) + 1)]
+        if names != set(expected):
+            raise DatasetError(f"{dev_id!r} holds {sorted(names)}, not 1.fp..{len(names)}.fp")
         fps = []
-        for name in sorted(os.listdir(dev_dir), key=_fp_sort_key):
-            if not name.endswith(".fp"):
-                continue
+        for name in expected:
             with open(os.path.join(dev_dir, name)) as fh:
                 fps.append(decode_fingerprint(fh.read()))
-        if not fps:
-            continue  # an enroll interrupted before its first file landed
         for fp in fps:
             if fp.challenge_hash != challenge:
                 raise ChallengeMismatchError(
@@ -198,7 +202,3 @@ def load_dataset(directory: str) -> FingerprintDataset:
         dataset.records[dev_id] = DeviceRecord(dev_id, fps)
     return dataset
 
-
-def _fp_sort_key(name: str):
-    stem = name[:-3] if name.endswith(".fp") else name
-    return (0, int(stem)) if stem.isdigit() else (1, stem)

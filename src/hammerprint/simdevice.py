@@ -143,7 +143,7 @@ class SimDevice:
     noise: NoiseConfig
 
     def __post_init__(self):
-        check_consistent(self.mapping, self.geom)
+        check_consistent(self.mapping, self.geom)  # keeps the pair's layout for phys_to_dram
 
     @cached_property
     def device_key(self) -> int:

@@ -43,9 +43,7 @@ def small_challenge(kind=PatternKind.N_SIDED, n=6, banks=(0, 1), measurements=3,
     pattern = build_pattern(kind, n, first_offset, rng_seed)
     return DramChallenge(
         bank_range=tuple(banks),
-        first_aggressor_offset=first_offset,
         pattern=pattern,
         data=DataPattern(0x55, 0xAA),
-        banks_measured=len(banks),
         measurements=measurements,
     )

@@ -136,8 +136,8 @@ def test_criterion_05_host_binding():
 def test_criterion_06_trr_property():
     rng = random.Random("acceptance-6")
     dev = new_sim_device(6001, 6002)
-    double = DramChallenge((0,), 1, build_pattern(PatternKind.DOUBLE_SIDED, 2, 1),
-                           DataPattern(), 1, 10)
+    double = DramChallenge((0,), build_pattern(PatternKind.DOUBLE_SIDED, 2, 1),
+                           DataPattern(), 10)
     suppressed = 0
     for _ in range(100):
         flips = hammer(dev, double, rng.getrandbits(64))

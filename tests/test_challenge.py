@@ -117,26 +117,21 @@ class TestPatternInvariants:
 
 
 class TestChallengeValidation:
-    def test_banks_measured_must_match(self):
-        p = build_pattern(PatternKind.DOUBLE_SIDED, 2, 1)
-        with pytest.raises(ChallengeError):
-            DramChallenge((0, 1), 1, p, DataPattern(), banks_measured=3, measurements=1)
-
     def test_measurements_positive(self):
         p = build_pattern(PatternKind.DOUBLE_SIDED, 2, 1)
         with pytest.raises(ChallengeError):
-            DramChallenge((0,), 1, p, DataPattern(), banks_measured=1, measurements=0)
+            DramChallenge((0,), p, DataPattern(), measurements=0)
 
     def test_validate_for_geometry(self, toy_geom):
         ch = default_challenge()
         ch.validate_for(toy_geom)
         tall = build_pattern(PatternKind.N_SIDED, 200, 1)
-        bad = DramChallenge((0,), 1, tall, DataPattern(), 1, 1)
+        bad = DramChallenge((0,), tall, DataPattern(), 1)
         with pytest.raises(ChallengeError):
             bad.validate_for(toy_geom)
-        wrong_bank = DramChallenge((toy_geom.banks,), 1,
+        wrong_bank = DramChallenge((toy_geom.banks,),
                                    build_pattern(PatternKind.DOUBLE_SIDED, 2, 1),
-                                   DataPattern(), 1, 1)
+                                   DataPattern(), 1)
         with pytest.raises(ChallengeError):
             wrong_bank.validate_for(toy_geom)
 
@@ -148,12 +143,22 @@ class TestSerialization:
 
     def test_roundtrip_non_uniform(self):
         p = build_pattern(PatternKind.NON_UNIFORM, 4, 1, rng_seed=9)
-        ch = DramChallenge((0, 2), 1, p, DataPattern(0xFF, 0x00), 2, 5)
+        ch = DramChallenge((0, 2), p, DataPattern(0xFF, 0x00), 5)
         assert parse_challenge(encode_challenge(ch)) == ch
 
     def test_hash_binds_content(self):
         ch = default_challenge()
         assert challenge_hash(ch) != challenge_hash(ch.with_measurements(2))
+
+    def test_parse_rejects_disagreeing_derived_line(self):
+        # first_aggressor_offset and banks_measured are derived but hashed
+        text = encode_challenge(default_challenge())
+        for line, bad in (("first_aggressor_offset=1", "first_aggressor_offset=9"),
+                          ("first_aggressor_offset=1", "first_aggressor_offset=0"),
+                          ("banks_measured=5", "banks_measured=3")):
+            assert line in text.splitlines()
+            with pytest.raises(ChallengeError, match="disagrees"):
+                parse_challenge(text.replace(line, bad))
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ChallengeError):

@@ -9,6 +9,7 @@ from hammerprint.challenge import (
     DramChallenge,
     PatternKind,
     build_pattern,
+    default_challenge,
     encode_challenge,
 )
 from hammerprint.fingerprint import decode_fingerprint
@@ -91,8 +92,8 @@ class TestFingerprintCommand:
         assert a.read_text() == b.read_text()
 
     def test_trr_suppressed_pattern_warns_zero_flips(self, tmp_path, device_profile, capsys):
-        ch = DramChallenge((0,), 1, build_pattern(PatternKind.DOUBLE_SIDED, 2, 1),
-                           DataPattern(), 1, 2)
+        ch = DramChallenge((0,), build_pattern(PatternKind.DOUBLE_SIDED, 2, 1),
+                           DataPattern(), 2)
         ch_path = tmp_path / "double.ch"
         ch_path.write_text(encode_challenge(ch))
         rc = cli.main(["fingerprint", "--device", str(device_profile),
@@ -109,8 +110,8 @@ class TestFingerprintCommand:
 
     def test_non_finite_temporal_challenge_is_usage_error(self, tmp_path, device_profile,
                                                          capsys):
-        ch = DramChallenge((0,), 1, build_pattern(PatternKind.NON_UNIFORM, 1, 1),
-                           DataPattern(), 1, 2)
+        ch = DramChallenge((0,), build_pattern(PatternKind.NON_UNIFORM, 1, 1),
+                           DataPattern(), 2)
         ch_path = tmp_path / "nan.ch"
         ch_path.write_text(re.sub(r"(?m)^temporal=.*$", "temporal=nan,0.5,inf",
                                   encode_challenge(ch)))
@@ -123,8 +124,8 @@ class TestFingerprintCommand:
 
     def test_negative_temporal_challenge_is_usage_error(self, tmp_path, device_profile,
                                                         capsys):
-        ch = DramChallenge((0,), 1, build_pattern(PatternKind.NON_UNIFORM, 1, 1),
-                           DataPattern(), 1, 2)
+        ch = DramChallenge((0,), build_pattern(PatternKind.NON_UNIFORM, 1, 1),
+                           DataPattern(), 2)
         for name, triple in (("freq", "-1.0,0.5,1.0"), ("amp", "1.0,0.5,-2.5")):
             ch_path = tmp_path / f"{name}.ch"
             ch_path.write_text(re.sub(r"(?m)^temporal=.*$", f"temporal={triple}",
@@ -154,10 +155,22 @@ class TestFingerprintCommand:
         assert not out.exists()
         assert "bit flips" not in capsys.readouterr().out
 
+    def test_disagreeing_derived_challenge_line_is_usage_error(self, tmp_path, device_profile):
+        text = encode_challenge(default_challenge())
+        ch_path = tmp_path / "off9.ch"
+        ch_path.write_text(text.replace("first_aggressor_offset=1\n",
+                                        "first_aggressor_offset=9\n"))
+        assert ch_path.read_text() != text
+        out = tmp_path / "x.fp"
+        rc = cli.main(["fingerprint", "--device", str(device_profile),
+                       "--challenge", str(ch_path), "--out", str(out)])
+        assert rc == cli.EXIT_USAGE
+        assert not out.exists()
+
     def test_challenge_geometry_mismatch_is_distinct_exit(self, tmp_path, device_profile):
         # well-formed challenge whose rows exceed the device geometry
-        ch = DramChallenge((0,), 1, build_pattern(PatternKind.N_SIDED, 3000, 1),
-                           DataPattern(), 1, 2)
+        ch = DramChallenge((0,), build_pattern(PatternKind.N_SIDED, 3000, 1),
+                           DataPattern(), 2)
         ch_path = tmp_path / "tall.ch"
         ch_path.write_text(encode_challenge(ch))
         rc = cli.main(["fingerprint", "--device", str(device_profile),
@@ -203,8 +216,8 @@ class TestEnrollIdentify:
         ds = str(tmp_path / "ds")
         fp_path = write_fingerprint(tmp_path, device_profile, "q.fp", 41)
         assert cli.main(["--dataset", ds, "enroll", str(fp_path)]) == 0
-        ch = DramChallenge((0, 1), 1, build_pattern(PatternKind.N_SIDED, 20, 1),
-                           DataPattern(), 2, 2)
+        ch = DramChallenge((0, 1), build_pattern(PatternKind.N_SIDED, 20, 1),
+                           DataPattern(), 2)
         ch_path = tmp_path / "other.ch"
         ch_path.write_text(encode_challenge(ch))
         other = tmp_path / "other.fp"
@@ -217,8 +230,12 @@ class TestEnrollIdentify:
     def test_id_that_is_a_path_is_usage_error(self, tmp_path, device_profile, capsys):
         ds = tmp_path / "ds"
         fp_path = write_fingerprint(tmp_path, device_profile, "q.fp", 12)
+        # on a fresh dataset this id would take the meta file's name
+        assert cli.main(["--dataset", str(ds), "enroll", str(fp_path),
+                         "--id", "dataset.meta"]) == cli.EXIT_USAGE
+        assert not (ds / "dataset.meta").exists()
         assert cli.main(["--dataset", str(ds), "enroll", str(fp_path)]) == 0
-        for bad in ("../escaped", "a/b", "..", "."):
+        for bad in ("../escaped", "a/b", "..", ".", "dataset.meta"):
             rc = cli.main(["--dataset", str(ds), "enroll", str(fp_path), "--id", bad])
             assert rc == cli.EXIT_USAGE
         assert not (tmp_path / "escaped").exists()
@@ -226,6 +243,18 @@ class TestEnrollIdentify:
         capsys.readouterr()
         assert cli.main(["--dataset", str(ds), "identify", str(fp_path)]) == cli.EXIT_OK
         assert "matched dev-1" in capsys.readouterr().out
+
+    def test_stray_fp_name_in_dataset_is_usage_error(self, tmp_path, device_profile, capsys):
+        ds = tmp_path / "ds"
+        fp_path = write_fingerprint(tmp_path, device_profile, "q.fp", 14)
+        assert cli.main(["--dataset", str(ds), "enroll", str(fp_path)]) == 0
+        (ds / "dev-1" / "notes.fp").write_text(fp_path.read_text())
+        capsys.readouterr()
+        assert cli.main(["--dataset", str(ds), "identify", str(fp_path)]) == cli.EXIT_USAGE
+        assert "notes.fp" in capsys.readouterr().err
+        assert cli.main(["--dataset", str(ds), "enroll", str(fp_path),
+                         "--id", "dev-1"]) == cli.EXIT_USAGE
+        assert sorted(p.name for p in (ds / "dev-1").iterdir()) == ["1.fp", "notes.fp"]
 
     def test_empty_fingerprint_enroll_is_usage_error(self, tmp_path, device_profile, capsys):
         ds = tmp_path / "ds"

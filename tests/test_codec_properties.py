@@ -77,10 +77,8 @@ def challenges(draw):
     banks = draw(st.lists(st.integers(-5, 64), min_size=1, max_size=8, unique=True))
     return DramChallenge(
         bank_range=tuple(banks),
-        first_aggressor_offset=draw(st.integers(-10, 10**6)),
         pattern=draw(patterns()),
         data=DataPattern(draw(st.integers(0, 255)), draw(st.integers(0, 255))),
-        banks_measured=len(banks),
         measurements=draw(st.integers(1, 1000)),
     )
 
@@ -156,10 +154,18 @@ def garbled(encoded: st.SearchStrategy) -> st.SearchStrategy:
 
 
 @FEW
-@given(challenges())
-@example(default_challenge())
-def test_challenge_roundtrip(ch):
-    assert parse_challenge(encode_challenge(ch)) == ch
+@given(challenges(), st.sampled_from(["first_aggressor_offset", "banks_measured"]),
+       st.integers(-10, 10**6).filter(bool))
+@example(default_challenge(), "first_aggressor_offset", 8)
+def test_challenge_roundtrip(ch, derived, shift):
+    text = encode_challenge(ch)
+    assert parse_challenge(text) == ch
+    # a derived line that disagrees with the challenge would not round-trip
+    line = f"\n{derived}={getattr(ch, derived)}\n"
+    assert line in text
+    altered = text.replace(line, f"\n{derived}={getattr(ch, derived) + shift}\n")
+    with pytest.raises(ChallengeError):
+        parse_challenge(altered)
 
 
 @FEW

@@ -148,6 +148,14 @@ class TestLayoutCache:
             assert phys_to_dram(addr, mapping, toy_geom) == want
         assert set(mapping._layouts) == {toy_geom, wider}
 
+    def test_building_a_device_keeps_its_layout(self, toy_geom):
+        dev = new_sim_device(1, 2, geom=toy_geom)
+        assert set(dev.mapping._layouts) == {toy_geom}
+        bad = self.mismatched()
+        with pytest.raises(MappingError):
+            new_sim_device(1, 2, geom=toy_geom, mapping=bad)
+        assert bad._layouts == {}
+
 
 def naive_resolve(addr: int, mapping: AddressMapping, geom: DramGeometry) -> DramAddress:
     """Bit-by-bit resolution, sharing no code with ``phys_to_dram``."""

@@ -124,9 +124,9 @@ def queries(draw, geom):
     pattern = build_pattern(kind, draw(count), first, draw(st.integers(0, 2**32)))
     banks = draw(st.lists(st.integers(0, geom.banks - 1), min_size=1,
                           max_size=geom.banks, unique=True))
-    ch = DramChallenge(bank_range=tuple(banks), first_aggressor_offset=first, pattern=pattern,
+    ch = DramChallenge(bank_range=tuple(banks), pattern=pattern,
                        data=DataPattern(draw(st.integers(0, 0xFF)), draw(st.integers(0, 0xFF))),
-                       banks_measured=len(banks), measurements=draw(st.integers(1, 10)))
+                       measurements=draw(st.integers(1, 10)))
     return ch, draw(st.integers(0, 2**32))
 
 

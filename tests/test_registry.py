@@ -247,6 +247,18 @@ class TestPersistence:
         with pytest.raises(DatasetError, match="repeated 'challenge'"):
             load_dataset(str(path))
 
+    @pytest.mark.parametrize("stray", ["notes.fp", "0.fp", "01.fp", "3.fp"])
+    def test_fp_name_outside_saved_names_is_refused(self, tmp_path, stray):
+        # save writes 1.fp..k.fp; any other .fp name, or a gap (3.fp after
+        # 1.fp), would load a file that the next save never rewrites
+        ds = FingerprintDataset(H)
+        enroll(ds, "dev-1", fp(block(0, 4)))
+        path = tmp_path / "ds"
+        save_dataset(ds, str(path))
+        (path / "dev-1" / stray).write_text((path / "dev-1" / "1.fp").read_text())
+        with pytest.raises(DatasetError, match="1.fp"):
+            load_dataset(str(path))
+
     def test_load_missing_dataset(self, tmp_path):
         with pytest.raises(DatasetError):
             load_dataset(str(tmp_path / "nope"))
