@@ -118,13 +118,16 @@ class _Layout(NamedTuple):
     row_mask: int
     column_shift: int
     column_mask: int
+    free_masks: tuple[int, ...] | None  # bank functions off the row/column bits; None if dependent
 
 
 def check_consistent(mapping: AddressMapping, geom: DramGeometry) -> _Layout:
     """Check the pair on first use, then keep and return its layout.
 
     Raises MappingError unless mapping sizes agree with the geometry; a
-    failing pair stores nothing, so it raises on every call.
+    failing pair stores nothing, so it raises on every call. A pair that
+    ``dram_to_phys`` cannot invert still passes and keeps its layout,
+    with ``free_masks`` None, so ``phys_to_dram`` works on it.
     """
     layout = mapping._layouts.get(geom)
     if layout is not None:
@@ -141,10 +144,14 @@ def check_consistent(mapping: AddressMapping, geom: DramGeometry) -> _Layout:
         raise MappingError("row/column ranges exceed address_bits")
     if max(mapping.bank_functions, default=0) >> geom.address_bits:
         raise MappingError("bank function mask exceeds address_bits")
+    row_shift, row_mask = mapping.row_bits[0], geom.rows_per_bank - 1
+    column_shift, column_mask = mapping.column_bits[0], geom.columns_per_row - 1
+    known_region = (row_mask << row_shift) | (column_mask << column_shift)
+    free_masks = tuple(f & ~known_region for f in mapping.bank_functions)
     layout = mapping._layouts[geom] = _Layout(
-        tuple(enumerate(mapping.bank_functions)),
-        mapping.row_bits[0], geom.rows_per_bank - 1,
-        mapping.column_bits[0], geom.columns_per_row - 1)
+        tuple(enumerate(mapping.bank_functions)), row_shift, row_mask,
+        column_shift, column_mask,
+        free_masks if gf2.rank(free_masks) == len(free_masks) else None)
     return layout
 
 
@@ -170,7 +177,7 @@ def phys_to_dram(addr: int, mapping: AddressMapping, geom: DramGeometry) -> Dram
     """
     if not 0 <= addr < geom.address_space:
         raise GeometryError(f"address {addr:#x} outside {geom.address_bits}-bit space")
-    funcs, row_shift, row_mask, col_shift, col_mask = check_consistent(mapping, geom)
+    funcs, row_shift, row_mask, col_shift, col_mask, _ = check_consistent(mapping, geom)
     bank = 0
     for i, f in funcs:
         bank |= ((addr & f).bit_count() & 1) << i  # gf2.parity, inlined on this hot path
@@ -185,15 +192,13 @@ def dram_to_phys(da: DramAddress, mapping: AddressMapping, geom: DramGeometry) -
     MappingError when the constraints restricted to the free bits are
     linearly dependent (no unique bank coordinate reachable).
     """
-    funcs, row_shift, row_mask, col_shift, col_mask = check_consistent(mapping, geom)
+    funcs, row_shift, _, col_shift, _, free_masks = check_consistent(mapping, geom)
     if not (0 <= da.bank < geom.banks and 0 <= da.row < geom.rows_per_bank
             and 0 <= da.column < geom.columns_per_row):
         raise GeometryError(f"DRAM address {da} outside geometry bounds")
-    known_region = (row_mask << row_shift) | (col_mask << col_shift)
-    known = (da.row << row_shift) | (da.column << col_shift)
-    free_masks = [f & ~known_region for _, f in funcs]
-    if gf2.rank(free_masks) != len(free_masks):
+    if free_masks is None:  # decided once per pair in check_consistent
         raise MappingError("mapping not invertible: bank functions collapse outside row/column bits")
+    known = (da.row << row_shift) | (da.column << col_shift)
     rhs = [((da.bank >> i) & 1) ^ gf2.parity(f & known) for i, f in funcs]
     x = gf2.solve(free_masks, rhs)
     assert x is not None  # independent rows are always consistent

@@ -4,13 +4,15 @@ Identification is two-staged: a cheap Jaccard match of the new query
 against each device's representative (first-enrolled) fingerprint selects
 candidates, then the asymmetric overlap of the query against each
 candidate's full fingerprint union ranks them. No candidate means a new
-device. Identification never mutates the dataset; enrollment is separate.
+device. Stage 1 only tests the devices whose representative shares a
+location with the query, found through an index of representatives; any
+other device has Jaccard 0 and could not pass. Identification never
+changes the records; enrollment is separate.
 """
 
 from __future__ import annotations
 
 import os
-import re
 import tempfile
 from dataclasses import dataclass, field
 
@@ -19,6 +21,7 @@ from .fingerprint import (
     ChallengeMismatchError,
     Fingerprint,
     FingerprintError,
+    FlipLocation,
     decode_fingerprint,
     encode_fingerprint,
     jaccard,
@@ -56,6 +59,78 @@ class FingerprintDataset:
     challenge_hash: str
     records: dict[str, DeviceRecord] = field(default_factory=dict)
 
+    def __post_init__(self):
+        # The stage-1 index, outside repr and ==. Each location of an indexed
+        # representative maps to the key of the record holding it, or to a
+        # list of keys when several do; ``_indexed`` is the representative
+        # indexed under each key, under challenge ``_indexed_hash``.
+        self._owners: dict[FlipLocation, str | list[str]] = {}
+        self._indexed: dict[str, Fingerprint] = {}
+        self._indexed_hash = self.challenge_hash
+
+    def _sharing(self, f_u: Fingerprint) -> set[str]:
+        """Keys of the records whose representative shares a location with f_u.
+
+        First brings the index in line with ``records``, which callers may
+        edit directly: a key whose representative is not the very object
+        indexed under it is indexed anew, and a key gone from ``records``
+        is dropped. Appending a fingerprint to a record costs nothing here.
+        A representative of another challenge raises ChallengeMismatchError
+        and is never indexed, so it raises on every call, as ``jaccard``
+        would.
+        """
+        if self._indexed_hash != self.challenge_hash:
+            self._owners, self._indexed = {}, {}
+            self._indexed_hash = self.challenge_hash
+        records, indexed = self.records, self._indexed
+        indexed_rep = indexed.get
+        for key, record in records.items():
+            rep = record.fingerprints[0]  # the representative, without a property call
+            if indexed_rep(key) is not rep:
+                self._unindex(key)
+                if rep.challenge_hash != self.challenge_hash:
+                    raise ChallengeMismatchError(f"record {key!r} uses another challenge")
+                self._index(key, rep)
+        if len(indexed) > len(records):
+            for key in [k for k in indexed if k not in records]:
+                self._unindex(key)
+        owners, keys = self._owners, set()
+        for loc in f_u.locations:
+            owner = owners.get(loc)
+            if owner is None:
+                continue
+            if type(owner) is list:
+                keys.update(owner)
+            else:
+                keys.add(owner)
+        return keys
+
+    def _index(self, key: str, rep: Fingerprint) -> None:
+        owners = self._owners
+        for loc in rep.locations:
+            owner = owners.get(loc)
+            if owner is None:
+                owners[loc] = key  # the shared key itself, not a one-item list
+            elif type(owner) is list:
+                owner.append(key)
+            else:
+                owners[loc] = [owner, key]
+        self._indexed[key] = rep
+
+    def _unindex(self, key: str) -> None:
+        rep = self._indexed.pop(key, None)
+        if rep is None:
+            return
+        owners = self._owners
+        for loc in rep.locations:
+            owner = owners[loc]
+            if type(owner) is not list:
+                del owners[loc]
+                continue
+            owner.remove(key)
+            if len(owner) == 1:
+                owners[loc] = owner[0]
+
 
 @dataclass(frozen=True)
 class IdentifyResult:
@@ -76,12 +151,9 @@ def get_similarity(f_u: Fingerprint, record: DeviceRecord) -> float:
 
 def generate_new_id(dataset: FingerprintDataset) -> str:
     """Next free id: dev-<n> with n one past the highest existing index."""
-    top = 0
-    for dev_id in dataset.records:
-        m = re.fullmatch(r"dev-(\d+)", dev_id)
-        if m:
-            top = max(top, int(m.group(1)))
-    return f"dev-{top + 1}"
+    # isdecimal, not isdigit: exactly the Unicode digits (Nd) that int reads
+    indices = (int(d[4:]) for d in dataset.records if d[:4] == "dev-" and d[4:].isdecimal())
+    return f"dev-{max(indices, default=0) + 1}"
 
 
 def identify(dataset: FingerprintDataset, f_u: Fingerprint,
@@ -102,8 +174,8 @@ def identify(dataset: FingerprintDataset, f_u: Fingerprint,
     if f_u.challenge_hash != dataset.challenge_hash:
         raise ChallengeMismatchError("fingerprint and dataset use different challenges")
 
-    candidates = [r for r in dataset.records.values()
-                  if fingerprint_match(f_u, r.representative, threshold)]
+    sharing = map(dataset.records.__getitem__, dataset._sharing(f_u))
+    candidates = [r for r in sharing if fingerprint_match(f_u, r.representative, threshold)]
     if not candidates:
         return IdentifyResult(generate_new_id(dataset), "new")
     best_sim, best_id = min(((get_similarity(f_u, r), r.id) for r in candidates),

@@ -242,6 +242,21 @@ class TestDramToPhys:
         with pytest.raises(MappingError):
             dram_to_phys(DramAddress(1, 0, 0), mapping, geom)
 
+    def test_non_invertible_verdict_is_kept_per_pair(self):
+        geom = DramGeometry(banks=4, rows_per_bank=32, columns_per_row=64,
+                            address_bits=16)
+        mapping = AddressMapping(((1 << 6) | (1 << 8), (1 << 6) | (1 << 9)),
+                                 (8, 13), (0, 6))
+        for addr in (0, (1 << 6) | (1 << 8), geom.address_space - 1, 0):
+            for da in (DramAddress(0, 0, 0), DramAddress(1, 0, 0)):
+                with pytest.raises(MappingError):
+                    dram_to_phys(da, mapping, geom)
+            assert phys_to_dram(addr, mapping, geom) == naive_resolve(addr, mapping, geom)
+        assert mapping._layouts[geom].free_masks is None
+        invertible = canonical_mapping(geom)
+        dram_to_phys(DramAddress(1, 0, 0), invertible, geom)
+        assert invertible._layouts[geom].free_masks is not None
+
     def test_rejects_out_of_bounds_dram_address(self, toy_geom, toy_mapping):
         with pytest.raises(GeometryError):
             dram_to_phys(DramAddress(toy_geom.banks, 0, 0), toy_mapping, toy_geom)
