@@ -10,8 +10,10 @@ query.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import repeat
+from operator import index, itemgetter
 from typing import Iterable
 
 from .codec import profile_lines, set_once
@@ -32,16 +34,25 @@ class FlipLocation(tuple):
     a location equals the plain tuple ``(bank, row, column, bit)``.
     Ordering is lexicographic on the fields, which fixes the canonical
     encoding order. Every way of making one (the constructor, copy,
-    pickle) goes through the range checks in ``__new__``.
+    pickle) goes through the checks in ``__new__``: each field becomes a
+    plain ``int`` through ``operator.index`` (so ``True`` is 1 and a
+    float, string or None is refused), the bit lies in 0..7 and no index
+    is negative. Those are exactly the locations the canonical encoding
+    writes and decodes back equal.
     """
 
     __slots__ = ()
     __match_args__ = ("bank", "row", "column", "bit")
 
     def __new__(cls, bank: int, row: int, column: int, bit: int):
+        try:
+            bank, row, column, bit = index(bank), index(row), index(column), index(bit)
+        except TypeError:  # raised before the names are rebound
+            raise FingerprintError(
+                f"location fields must be integers, got {(bank, row, column, bit)!r}") from None
         if not 0 <= bit <= 7:
             raise FingerprintError(f"bit index {bit} outside 0..7")
-        if min(bank, row, column) < 0:
+        if bank < 0 or row < 0 or column < 0:  # not min(): one call fewer on a hot path
             raise FingerprintError("negative location index")
         return tuple.__new__(cls, (bank, row, column, bit))
 
@@ -142,24 +153,46 @@ def encode_fingerprint(fp: Fingerprint) -> str:
     return "\n".join(lines) + "\n"
 
 
+# One canonical location line, as ``encode_fingerprint`` writes it. Digit
+# runs stop at 640, the lowest int-string limit CPython accepts, so ``int``
+# never refuses a field taken here; a longer field goes to
+# ``_parse_location``, where the limit in force decides.
+_CANONICAL_LOCATION = re.compile(
+    r"^b([0-9]{1,640}):r([0-9]{1,640}):c([0-9]{1,640}):i([0-7])$\n?", re.MULTILINE)
+
+
 def decode_fingerprint(text: str) -> Fingerprint:
     """Parse a fingerprint file written in the profile line syntax.
 
     A line without ``=`` is a location; ``challenge``, ``time`` and
     ``hint`` are the headers, each at most once. Blank and ``#`` lines
     are skipped.
+
+    Canonical location lines are taken in one regex pass and cannot
+    fail; every other line goes through the line parser in file order,
+    so the accepted inputs and the first error are those of parsing
+    each line on its own.
     """
+    # split() leaves the unmatched text at every fifth place and each
+    # canonical line's four fields in the places between
+    parts = _CANONICAL_LOCATION.split(text)
+    fields = zip(*(map(int, parts[k::5]) for k in range(1, 5)))
+    # the pattern admits only non-negative integers and bits 0-7, so the
+    # checks in FlipLocation.__new__ cannot fail and are skipped
+    locations = frozenset(map(tuple.__new__, repeat(FlipLocation), fields))
+    others = set()
     headers: dict[str, str] = {}
-    locations = set()
-    for key, value in profile_lines(text):
+    for key, value in profile_lines("".join(parts[::5])):
         if value is None:
-            locations.add(_parse_location(key))
+            others.add(_parse_location(key))
         elif key in ("challenge", "time", "hint"):
             set_once(headers, key, value, FingerprintError)
         else:
             raise FingerprintError(f"bad fingerprint line: {key + '=' + value!r}")
     if "challenge" not in headers:
         raise FingerprintError("fingerprint file lacks a challenge= header")
+    if others:
+        locations = locations.union(others)
     return Fingerprint(locations, headers["challenge"], headers.get("hint"), headers.get("time"))
 
 

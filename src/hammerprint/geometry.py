@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -53,6 +53,19 @@ class DramGeometry:
             raise GeometryError(
                 f"address_bits={self.address_bits} too small for geometry (need >= {need})"
             )
+        # every phys_to_dram call hashes the geometry to find its layout
+        object.__setattr__(self, "_hash", hash(
+            (self.banks, self.rows_per_bank, self.columns_per_row, self.address_bits)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    # pickle and copy see the four fields alone, and loading re-runs the checks
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(**state)
 
     @property
     def bank_bits(self) -> int:

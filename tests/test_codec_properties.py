@@ -5,11 +5,12 @@ either succeed or raise that codec's own ValueError subclass.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hammerprint import gf2
+from hammerprint import fingerprint, gf2
 from hammerprint.challenge import (
     ChallengeError,
     DataPattern,
@@ -21,6 +22,7 @@ from hammerprint.challenge import (
     encode_challenge,
     parse_challenge,
 )
+from hammerprint.codec import profile_lines, set_once
 from hammerprint.fingerprint import (
     Fingerprint,
     FingerprintError,
@@ -297,3 +299,170 @@ def test_repeated_single_valued_key_is_refused(parse, error, text, repeat):
     with pytest.raises(error, match="repeated"):
         parse(text + repeat + "\n")
 
+
+# --- fingerprint decoding: canonical lines and the line parser --------------------
+# ``decode_fingerprint`` takes canonical location lines in one regex pass and
+# hands every other line to the line parser. The reference below parses each
+# line on its own, so the two must agree on every text: the same fingerprint,
+# or the same error class and message.
+
+
+def reference_decode_fingerprint(text: str) -> Fingerprint:
+    headers: dict[str, str] = {}
+    locations = set()
+    for key, value in profile_lines(text):
+        if value is None:
+            locations.add(reference_parse_location(key))
+        elif key in ("challenge", "time", "hint"):
+            set_once(headers, key, value, FingerprintError)
+        else:
+            raise FingerprintError(f"bad fingerprint line: {key + '=' + value!r}")
+    if "challenge" not in headers:
+        raise FingerprintError("fingerprint file lacks a challenge= header")
+    return Fingerprint(locations, headers["challenge"], headers.get("hint"), headers.get("time"))
+
+
+def reference_parse_location(line: str) -> FlipLocation:
+    try:
+        b, r, c, i = line.split(":")
+        if b[0] != "b" or r[0] != "r" or c[0] != "c" or i[0] != "i":
+            raise ValueError
+        return FlipLocation(int(b[1:]), int(r[1:]), int(c[1:]), int(i[1:]))
+    except (ValueError, IndexError):
+        raise FingerprintError(f"bad location line: {line!r}") from None
+
+
+def decode_outcome(decode, text):
+    try:
+        fp = decode(text)
+    except FingerprintError as e:
+        return type(e), str(e)
+    assert all(type(loc) is FlipLocation for loc in fp.locations)
+    return fp
+
+
+SEPARATORS = ["\n", "\r\n", "\r", "\x85", "\u2028", "\x0c"]
+# whitespace that strip() removes but that ends no line
+PADDING = [" ", "\t", "\u00a0", "\u3000"]
+
+
+def unicode_digits(digits: str, zero: int) -> str:
+    return "".join(chr(zero + int(d)) for d in digits)
+
+
+@st.composite
+def noncanonical_field(draw, digits: str) -> str:
+    """Another spelling of a location field that ``int`` reads the same,
+    or, now and then, one it refuses."""
+    return draw(st.sampled_from([
+        "+" + digits, "0" + digits, "00" + digits, digits + " ",
+        unicode_digits(digits, 0x660), unicode_digits(digits, 0xFF10),
+        "-" + digits, digits + "x", "", digits + "8",
+    ]))
+
+
+@st.composite
+def messy_line(draw, line: str) -> list[str]:
+    """``line`` as it is, or spelled, commented, padded, repeated or
+    replaced in one of the ways a hand-edited file might be."""
+    edit = draw(st.sampled_from(
+        ["keep"] * 12 + ["field"] * 2 + ["pad", "comment", "repeat", "junk", "drop"]))
+    if edit == "field" and "=" not in line:
+        parts = line.split(":")
+        k = draw(st.integers(0, 3))
+        parts[k] = parts[k][0] + draw(noncanonical_field(parts[k][1:]))
+        return [":".join(parts)]
+    if edit == "pad":
+        pad = st.text(st.sampled_from(PADDING), min_size=1, max_size=2)
+        return [draw(pad | st.just("")) + line + draw(pad | st.just(""))]
+    if edit == "comment":
+        return ["#" + line, line] if draw(st.booleans()) else ["#" + line]
+    if edit == "repeat":
+        return [line, line]
+    if edit == "junk":
+        return [draw(st.text(max_size=12))]
+    if edit == "drop":
+        return []
+    return [line]
+
+
+@st.composite
+def messy_fingerprint_texts(draw):
+    """Encoded fingerprints with lines respelled, padded, commented,
+    repeated or moved, joined by any of the separators splitlines knows."""
+    fp = draw(fingerprints())
+    try:
+        text = encode_fingerprint(fp)
+    except FingerprintError:
+        text = encode_fingerprint(Fingerprint(fp.locations, "c"))
+    lines = text.splitlines()
+    if draw(st.booleans()):  # locations before the headers
+        headers = [line for line in lines if "=" in line]
+        lines = [line for line in lines if "=" not in line] + headers
+    out = []
+    for line in lines:
+        out += draw(messy_line(line))
+    seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(out), max_size=len(out)))
+    text = "".join(line + sep for line, sep in zip(out, seps))
+    return text if draw(st.booleans()) else text.rstrip("".join(SEPARATORS))
+
+
+@settings(max_examples=400, deadline=None)
+@given(messy_fingerprint_texts())
+@example("challenge=c\r\nb1:r2:c3:i4\r\nb+1:r2:c3:i5\n")
+@example("b1:r2:c3:i4\nb1:r2:c3:i4\x85challenge=c\n b0:r0:c0:i0\n#b9:r9:c9:i9\n")
+@example("challenge=c\nb1:r2:c3:i4\nb\u0663:r2:c3:i4\nb1:r2:c3:i8\nchallenge=c\n")
+@example("challenge=c\nb1:r2:c3:i4\rb5:r6:c7:i0\nb1:r2:c3:i07")
+def test_decode_agrees_with_the_line_parser(text):
+    assert (decode_outcome(decode_fingerprint, text)
+            == decode_outcome(reference_decode_fingerprint, text))
+
+
+@pytest.mark.parametrize("field", ["b", "r", "c"])
+@pytest.mark.parametrize("digits", [641, 4301])  # past the pattern's bound; past int's limit
+def test_location_field_of_many_digits(field, digits):
+    values = {"b": "1", "r": "2", "c": "3"}
+    values[field] = "1" + "0" * (digits - 1)
+    text = "challenge=c\nb{b}:r{r}:c{c}:i4\n".format(**values)
+    want = decode_outcome(reference_decode_fingerprint, text)
+    assert decode_outcome(decode_fingerprint, text) == want
+    if digits > 4300:  # CPython's default int-string limit
+        with pytest.raises(FingerprintError, match="bad location line"):
+            decode_fingerprint(text)
+
+
+wide_locations = st.builds(FlipLocation, st.integers(0, 10**640 - 1), st.integers(0, 10**640 - 1),
+                           st.integers(0, 10**640 - 1), st.integers(0, 7))
+
+
+@FEW
+@given(fingerprints(), st.lists(wide_locations, max_size=3))
+def test_canonical_file_never_reaches_the_line_parser(fp, wide):
+    fp = replace(fp, locations=fp.locations | set(wide))
+    try:
+        text = encode_fingerprint(fp)
+    except FingerprintError:
+        return  # a header that would not decode unchanged is refused
+    def refuse(line):
+        raise AssertionError(f"canonical line sent to the line parser: {line!r}")
+    with mock.patch.object(fingerprint, "_parse_location", refuse):
+        got = decode_fingerprint(text)
+    assert got.locations == fp.locations
+
+
+any_field = (st.integers(-2, 2**70) | st.integers(0, 8) | st.booleans() | st.floats()
+             | st.text(max_size=2) | st.none() | st.fractions())
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_field, any_field, any_field, any_field)
+@example(1.0, 2, 3, 4)
+@example(True, 0, 0, False)
+@example(0, 0, 0, 7.0)
+def test_every_constructible_location_round_trips(bank, row, column, bit):
+    try:
+        loc = FlipLocation(bank, row, column, bit)
+    except FingerprintError:
+        return
+    got = decode_fingerprint(encode_fingerprint(Fingerprint({loc}, "c")))
+    assert got.locations == {loc}

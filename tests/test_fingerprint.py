@@ -46,6 +46,19 @@ class TestFlipLocation:
         with pytest.raises(FingerprintError):
             FlipLocation(-1, 0, 0, 0)
 
+    @pytest.mark.parametrize("bad", [1.0, 0.5, "1", None])
+    @pytest.mark.parametrize("k", range(4))
+    def test_fields_must_be_integers(self, bad, k):
+        fields = [1, 2, 3, 4]
+        fields[k] = bad
+        with pytest.raises(FingerprintError, match="must be integers"):
+            FlipLocation(*fields)
+
+    def test_bool_fields_become_ints(self):
+        got = FlipLocation(True, 0, 0, False)
+        assert got == (1, 0, 0, 0) and all(type(f) is int for f in got)
+        assert encode_fingerprint(fp({got})).endswith("\nb1:r0:c0:i0\n")
+
 
 class TestFromMeasurements:
     def test_union(self):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -47,6 +49,24 @@ class TestGeometryValidation:
         assert toy_geom.bank_bits == 3
         assert toy_geom.row_bits == 8
         assert toy_geom.column_bits == 8
+
+    def test_hash_repr_and_pickle_are_those_of_the_fields(self, toy_geom):
+        state = {"banks": 8, "rows_per_bank": 256, "columns_per_row": 256, "address_bits": 20}
+        assert hash(toy_geom) == hash(tuple(state.values()))
+        assert repr(toy_geom) == "DramGeometry(%s)" % ", ".join(f"{k}={v}" for k, v in state.items())
+        assert toy_geom.__reduce_ex__(4)[2] == state  # what pickle writes: the fields alone
+        for remake in (copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))):
+            got = remake(toy_geom)
+            assert got == toy_geom and hash(got) == hash(toy_geom)
+        assert toy_geom != DramGeometry(8, 256, 256, 21)
+
+    def test_loading_a_pickle_runs_the_checks(self):
+        forged = object.__new__(DramGeometry)
+        for name, value in (("banks", 3), ("rows_per_bank", 4), ("columns_per_row", 4),
+                            ("address_bits", 10)):
+            object.__setattr__(forged, name, value)
+        with pytest.raises(GeometryError):
+            pickle.loads(pickle.dumps(forged))
 
 
 class TestMappingValidation:
