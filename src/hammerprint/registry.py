@@ -4,10 +4,14 @@ Identification is two-staged: a cheap Jaccard match of the new query
 against each device's representative (first-enrolled) fingerprint selects
 candidates, then the asymmetric overlap of the query against each
 candidate's full fingerprint union ranks them. No candidate means a new
-device. Stage 1 only tests the devices whose representative shares a
-location with the query, found through an index of representatives; any
-other device has Jaccard 0 and could not pass. Identification never
-changes the records; enrollment is separate.
+device. Devices are named by their key in ``records``. Stage 1 only
+tests the devices whose representative shares a location with the query,
+found through an index of representatives; any other device has Jaccard 0
+and could not pass. Callers may edit ``records`` directly: the next
+``identify`` indexes the records added since the last, and an appended
+fingerprint costs nothing; a removed key, a replaced first fingerprint or
+a new ``challenge_hash`` makes it rebuild the whole index, as the first
+one after a load does. Identification never changes the records.
 """
 
 from __future__ import annotations
@@ -60,6 +64,9 @@ class FingerprintDataset:
     records: dict[str, DeviceRecord] = field(default_factory=dict)
 
     def __post_init__(self):
+        self._reset()
+
+    def _reset(self) -> None:
         # The stage-1 index, outside repr and ==. Each location of an indexed
         # representative maps to the key of the record holding it, or to a
         # list of keys when several do; ``_indexed`` is the representative
@@ -71,65 +78,47 @@ class FingerprintDataset:
     def _sharing(self, f_u: Fingerprint) -> set[str]:
         """Keys of the records whose representative shares a location with f_u.
 
-        First brings the index in line with ``records``, which callers may
-        edit directly: a key whose representative is not the very object
-        indexed under it is indexed anew, and a key gone from ``records``
-        is dropped. Appending a fingerprint to a record costs nothing here.
         A representative of another challenge raises ChallengeMismatchError
         and is never indexed, so it raises on every call, as ``jaccard``
         would.
         """
-        if self._indexed_hash != self.challenge_hash:
-            self._owners, self._indexed = {}, {}
-            self._indexed_hash = self.challenge_hash
-        records, indexed = self.records, self._indexed
-        indexed_rep = indexed.get
-        for key, record in records.items():
-            rep = record.fingerprints[0]  # the representative, without a property call
-            if indexed_rep(key) is not rep:
-                self._unindex(key)
-                if rep.challenge_hash != self.challenge_hash:
-                    raise ChallengeMismatchError(f"record {key!r} uses another challenge")
-                self._index(key, rep)
-        if len(indexed) > len(records):
-            for key in [k for k in indexed if k not in records]:
-                self._unindex(key)
+        if not self._index_new():
+            self._reset()
+            self._index_new()
         owners, keys = self._owners, set()
         for loc in f_u.locations:
             owner = owners.get(loc)
-            if owner is None:
-                continue
             if type(owner) is list:
                 keys.update(owner)
-            else:
+            elif owner is not None:
                 keys.add(owner)
         return keys
 
-    def _index(self, key: str, rep: Fingerprint) -> None:
-        owners = self._owners
-        for loc in rep.locations:
-            owner = owners.get(loc)
-            if owner is None:
-                owners[loc] = key  # the shared key itself, not a one-item list
-            elif type(owner) is list:
-                owner.append(key)
-            else:
-                owners[loc] = [owner, key]
-        self._indexed[key] = rep
-
-    def _unindex(self, key: str) -> None:
-        rep = self._indexed.pop(key, None)
-        if rep is None:
-            return
-        owners = self._owners
-        for loc in rep.locations:
-            owner = owners[loc]
-            if type(owner) is not list:
-                del owners[loc]
+    def _index_new(self) -> bool:
+        """Index the keys added since the last call; False if an indexed key is
+        gone or holds another representative object, or the challenge changed."""
+        if self._indexed_hash != self.challenge_hash:
+            return False
+        records, indexed, owners = self.records, self._indexed, self._owners
+        for key, record in records.items():
+            rep = record.fingerprints[0]  # the representative, without a property call
+            old = indexed.get(key)
+            if old is rep:
                 continue
-            owner.remove(key)
-            if len(owner) == 1:
-                owners[loc] = owner[0]
+            if old is not None:
+                return False
+            if rep.challenge_hash != self.challenge_hash:
+                raise ChallengeMismatchError(f"record {key!r} uses another challenge")
+            for loc in rep.locations:
+                owner = owners.get(loc)
+                if owner is None:
+                    owners[loc] = key  # the shared key itself, not a one-item list
+                elif type(owner) is list:
+                    owner.append(key)
+                else:
+                    owners[loc] = [owner, key]
+            indexed[key] = rep
+        return len(indexed) == len(records)  # every key is indexed, so more means one is gone
 
 
 @dataclass(frozen=True)
@@ -164,8 +153,8 @@ def identify(dataset: FingerprintDataset, f_u: Fingerprint,
     and the best-ranked candidate wins. Pure in (dataset, f_u,
     threshold): record order never affects the result because ranking
     ties break on the lexicographically smallest id. Returns the matched
-    id, or a freshly minted id with decision "new" (the caller decides
-    whether to enroll it).
+    key of ``records``, or a freshly minted id with decision "new" (the
+    caller decides whether to enroll it).
     """
     if not 0.0 < threshold < 1.0:
         raise DatasetError("match_threshold must lie in (0, 1)")
@@ -174,12 +163,13 @@ def identify(dataset: FingerprintDataset, f_u: Fingerprint,
     if f_u.challenge_hash != dataset.challenge_hash:
         raise ChallengeMismatchError("fingerprint and dataset use different challenges")
 
-    sharing = map(dataset.records.__getitem__, dataset._sharing(f_u))
-    candidates = [r for r in sharing if fingerprint_match(f_u, r.representative, threshold)]
+    records = dataset.records
+    candidates = [key for key in dataset._sharing(f_u)
+                  if fingerprint_match(f_u, records[key].representative, threshold)]
     if not candidates:
         return IdentifyResult(generate_new_id(dataset), "new")
-    best_sim, best_id = min(((get_similarity(f_u, r), r.id) for r in candidates),
-                            key=lambda sr: (-sr[0], sr[1]))
+    best_sim, best_id = min(((get_similarity(f_u, records[key]), key) for key in candidates),
+                            key=lambda sk: (-sk[0], sk[1]))
     return IdentifyResult(best_id, "matched", best_sim)
 
 

@@ -198,17 +198,6 @@ class SimDevice:
                                              polarity, marginal))
         return tuple(cells)
 
-    def flip_direction(self, loc: FlipLocation) -> str:
-        """Direction metadata for a reported flip: "1to0" or "0to1".
-
-        True cells discharge (1 to 0); anti cells charge up the stored
-        value (0 to 1). Direction is not part of location identity.
-        """
-        for cell in self.susceptible_cells(loc.bank, loc.row):
-            if cell.location == loc:
-                return "1to0" if cell.polarity == 1 else "0to1"
-        raise DeviceError(f"{loc} is not a susceptible cell of this device")
-
 
 def new_sim_device(dimm_seed: int,
                    host_seed: int,

@@ -11,6 +11,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hammerprint import registry
 from hammerprint.fingerprint import (
     ChallengeMismatchError,
     Fingerprint,
@@ -162,6 +163,47 @@ def test_foreign_record_raises_on_every_call_until_removed():
     for fn in (identify, scan_identify):
         with pytest.raises(ChallengeMismatchError):
             fn(ds, fp({9}, FOREIGN), 0.4)
+
+
+def test_stage_one_tests_only_current_representatives_that_share_a_location(monkeypatch):
+    """Stage 1 runs the Jaccard test on exactly the devices whose current
+    representative shares a location with the query, once each, whatever
+    edits came before. A stale index entry would only add candidates that
+    the test then rejects, so the decisions alone cannot show one."""
+    tested = []
+
+    def spy(f_u, f_i1, threshold):
+        tested.append(f_i1)
+        return jaccard(f_u, f_i1) > threshold
+
+    monkeypatch.setattr(registry, "fingerprint_match", spy)
+    query = fp({1, 2, 3})
+
+    def check(ds, want_keys):
+        tested.clear()
+        assert identify(ds, query) == scan_identify(ds, query, 0.4)
+        want = [ds.records[key].fingerprints[0] for key in want_keys]
+        assert sorted(map(id, tested)) == sorted(map(id, want))
+
+    ds = FingerprintDataset(H)
+    enroll(ds, "dev-1", fp({0, 1, 2}))
+    enroll(ds, "dev-2", fp({2, 3}))
+    enroll(ds, "dev-3", fp({4, 5}))
+    check(ds, ["dev-1", "dev-2"])
+    enroll(ds, "dev-4", fp({3, 9}))  # a new record
+    check(ds, ["dev-1", "dev-2", "dev-4"])
+    enroll(ds, "dev-3", fp({1, 2, 3}))  # an append leaves the representative
+    check(ds, ["dev-1", "dev-2", "dev-4"])
+    ds.records["dev-1"].fingerprints[0] = fp({6, 7})  # a replaced representative
+    check(ds, ["dev-2", "dev-4"])
+    ds.records["dev-5"] = DeviceRecord("dev-5", [fp({7, 1})])
+    del ds.records["dev-2"]  # a deletion, in the same gap as an add
+    check(ds, ["dev-4", "dev-5"])
+    ds.challenge_hash = FOREIGN
+    with pytest.raises(ChallengeMismatchError):
+        identify(ds, fp({8}, FOREIGN))  # shares no location, so only the sync can raise
+    ds.challenge_hash = H  # back again: every record is indexed anew
+    check(ds, ["dev-4", "dev-5"])
 
 
 def test_index_is_outside_repr_and_equality():

@@ -128,6 +128,17 @@ class TestIdentify:
         result = identify(ds, fp(block(0, 50)))
         assert result.device_id == "dev-1"
 
+    def test_names_the_device_by_its_key_not_record_id(self, tmp_path):
+        # The key is what stage 1, id minting and the saved directory go by.
+        ds = FingerprintDataset(H, {"dev-1": DeviceRecord("laptop", [fp(block(0, 50))])})
+        result = identify(ds, fp(block(0, 50)))
+        assert (result.device_id, result.decision) == ("dev-1", "matched")
+        save_dataset(ds, str(tmp_path / "ds"))
+        assert sorted(os.listdir(tmp_path / "ds")) == ["dataset.meta", "dev-1"]
+        # Ties go to the smallest key, whatever the records' ids say.
+        ds.records["dev-2"] = DeviceRecord("a-first", [fp(block(0, 50))])
+        assert identify(ds, fp(block(0, 50))).device_id == "dev-1"
+
     def test_pure_and_order_invariant(self):
         base = [("dev-1", block(0, 60)), ("dev-2", block(30, 60)), ("dev-3", block(200, 60))]
         query = fp(block(10, 50))

@@ -282,14 +282,6 @@ class TestHammerSemantics:
         u = union_of(queries)
         assert len(u.locations) >= max(len(q.locations) for q in queries)
 
-    def test_flip_direction_metadata(self):
-        dev = new_sim_device(72, 73, noise=deterministic_noise())
-        ch = default_challenge()
-        flips = hammer(dev, ch, 11)[0]
-        directions = {dev.flip_direction(f) for f in flips}
-        assert directions <= {"1to0", "0to1"}
-        assert len(directions) == 2  # 0x55 init charges both polarities somewhere
-
 
 class TestCalibration:
     def test_flip_count_in_shipped_band(self):
