@@ -108,6 +108,20 @@ def _pairing_values(new_queries: list[Fingerprint],
     query never appears in its own database draw. Cases of one
     combination share its union; unsampled cases come grouped by
     combination, so each union is built once.
+
+    The overlaps are counted on bits. Each distinct location of either
+    pool gets its own bit number, once per call, so a query becomes one
+    ``int`` with the bits of its locations set and a drawn database is
+    the OR of its members' ints. Distinct locations have distinct bits,
+    so the popcount of ``new & database`` is exactly
+    ``len(new.locations & union.locations)`` and each value is the same
+    float ``jaccard_prime`` returns.
+
+    ``jaccard_prime`` itself scores the first case of each new query
+    (it raises for an empty one) and any case whose challenge differs
+    from the drawn union's (it raises the mismatch). So every error is
+    the one the set formula raises, at the same case; ``union_of`` still
+    builds each drawn union and raises for mixed challenges in a draw.
     """
     if d_size < 1:
         raise ExperimentError("d_size must be at least 1")
@@ -126,13 +140,39 @@ def _pairing_values(new_queries: list[Fingerprint],
             cases.append((combo, i))
     if len(cases) > max_cases:
         cases = rng.sample(cases, max_cases)
+    bit_of: dict = {}  # location -> its bit number
+
+    def bits_of(fp: Fingerprint) -> int:
+        return sum(1 << bit_of.setdefault(loc, len(bit_of)) for loc in fp.locations)
+
+    new_bits = [bits_of(fp) for fp in new_queries]
+    db_bits = [bits_of(fp) for fp in db_queries]
+    scored = set()  # new queries jaccard_prime has scored once
     out = []
     db_combo = db = None
     for combo, i in cases:
         if combo != db_combo:
             db_combo, db = combo, union_of([db_queries[k] for k in combo])
-        out.append((combo, i, jaccard_prime(new_queries[i], db)))
+            mask = 0
+            for k in combo:
+                mask |= db_bits[k]
+        new = new_queries[i]
+        if i not in scored or new.challenge_hash != db.challenge_hash:
+            scored.add(i)
+            value = jaccard_prime(new, db)
+        else:
+            value = (new_bits[i] & mask).bit_count() / len(new.locations)
+        out.append((combo, i, value))
     return out
+
+
+def _labelled(pairings):
+    """Pairings with each combination as its "a+b+c" label, built once."""
+    labels: dict[tuple[int, ...], str] = {}
+    for combo, i, value in pairings:
+        if combo not in labels:
+            labels[combo] = "+".join(map(str, combo))
+        yield labels[combo], i, value
 
 
 def reliability_experiment(dev: SimDevice, ch: DramChallenge,
@@ -149,9 +189,9 @@ def reliability_experiment(dev: SimDevice, ch: DramChallenge,
     queries = _make_queries(dev, ch, seed, n_queries)
     rng = random.Random(f"{seed}:combos")
     rows, values = [], []
-    for combo, i, value in _pairing_values(queries, queries, d_size, rng,
-                                           max_cases, exclude_self=True):
-        rows.append(("+".join(map(str, combo)), i, len(queries[i].locations), value))
+    for label, i, value in _labelled(_pairing_values(queries, queries, d_size, rng,
+                                                     max_cases, exclude_self=True)):
+        rows.append((label, i, len(queries[i].locations), value))
         values.append(value)
     return ExperimentReport(
         name="reliability",
@@ -171,9 +211,9 @@ def uniqueness_experiment(dev_a: SimDevice, dev_b: SimDevice, ch: DramChallenge,
     rng = random.Random(f"{seed}:combos")
     rows, values = [], []
     for direction, new_qs, db_qs in (("a_vs_b", qa, qb), ("b_vs_a", qb, qa)):
-        for combo, i, value in _pairing_values(new_qs, db_qs, d_size, rng,
-                                               max_cases // 2, exclude_self=False):
-            rows.append((direction, "+".join(map(str, combo)), i, value))
+        for label, i, value in _labelled(_pairing_values(new_qs, db_qs, d_size, rng,
+                                                         max_cases // 2, exclude_self=False)):
+            rows.append((direction, label, i, value))
             values.append(value)
     return ExperimentReport(
         name="uniqueness",

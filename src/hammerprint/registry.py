@@ -16,8 +16,10 @@ one after a load does. Identification never changes the records.
 
 from __future__ import annotations
 
+import gc
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .codec import profile_lines, set_once
@@ -242,25 +244,44 @@ def load_dataset(directory: str) -> FingerprintDataset:
     if not challenge:
         raise DatasetError("dataset.meta lacks a challenge hash")
     dataset = FingerprintDataset(challenge)
-    for dev_id in sorted(os.listdir(directory)):
-        dev_dir = os.path.join(directory, dev_id)
-        if not os.path.isdir(dev_dir):
-            continue
-        names = {name for name in os.listdir(dev_dir) if name.endswith(".fp")}
-        if not names:
-            continue  # an enroll interrupted before its first file landed
-        expected = [f"{k}.fp" for k in range(1, len(names) + 1)]
-        if names != set(expected):
-            raise DatasetError(f"{dev_id!r} holds {sorted(names)}, not 1.fp..{len(names)}.fp")
-        fps = []
-        for name in expected:
-            with open(os.path.join(dev_dir, name)) as fh:
-                fps.append(decode_fingerprint(fh.read()))
-        for fp in fps:
-            if fp.challenge_hash != challenge:
-                raise ChallengeMismatchError(
-                    f"fingerprint under {dev_id!r} does not match the dataset challenge"
-                )
-        dataset.records[dev_id] = DeviceRecord(dev_id, fps)
+    with _collector_paused():
+        for dev_id in sorted(os.listdir(directory)):
+            dev_dir = os.path.join(directory, dev_id)
+            if not os.path.isdir(dev_dir):
+                continue
+            names = {name for name in os.listdir(dev_dir) if name.endswith(".fp")}
+            if not names:
+                continue  # an enroll interrupted before its first file landed
+            expected = [f"{k}.fp" for k in range(1, len(names) + 1)]
+            if names != set(expected):
+                raise DatasetError(
+                    f"{dev_id!r} holds {sorted(names)}, not 1.fp..{len(names)}.fp")
+            fps = []
+            for name in expected:
+                with open(os.path.join(dev_dir, name)) as fh:
+                    fps.append(decode_fingerprint(fh.read()))
+            for fp in fps:
+                if fp.challenge_hash != challenge:
+                    raise ChallengeMismatchError(
+                        f"fingerprint under {dev_id!r} does not match the dataset challenge"
+                    )
+            dataset.records[dev_id] = DeviceRecord(dev_id, fps)
     return dataset
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, then restore the caller's state.
+
+    Every decoded ``FlipLocation`` is a tuple subclass, which the collector
+    keeps tracking, so each collection during a large load walks all the
+    locations decoded so far. Decoding builds no reference cycles.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 

@@ -11,7 +11,7 @@ nothing is written next to it.
 import types
 from pathlib import Path
 
-from hammerprint import simdevice
+from hammerprint import evalharness, simdevice
 from hammerprint.challenge import default_challenge
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -67,3 +67,19 @@ def test_traced_access_time_resolves_each_address_once():
     outer = names.index("simdevice.access_time")
     assert all(span[3] == outer for span in tracer.spans
                if span[0] == "geometry.phys_to_dram")
+
+
+def test_traced_reliability_sees_the_set_algebra_and_counts_pairings():
+    # the traced reliability metrics take medians over jaccard_prime and
+    # union_of spans, which fail when a run records none
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        report = evalharness.reliability_experiment(
+            simdevice.new_sim_device(1, 2), default_challenge(), n_queries=5, d_size=2)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert "fingerprint.jaccard_prime" in names
+    assert "fingerprint.union_of" in names
+    assert tracer.counts["evalharness.pairings", None] == len(report.values) == 30

@@ -1,3 +1,4 @@
+import gc
 import os
 
 import pytest
@@ -269,6 +270,41 @@ class TestPersistence:
         (path / "dev-1" / stray).write_text((path / "dev-1" / "1.fp").read_text())
         with pytest.raises(DatasetError, match="1.fp"):
             load_dataset(str(path))
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_load_pauses_the_collector_and_restores_its_state(
+            self, tmp_path, monkeypatch, enabled, fails):
+        import hammerprint.registry as registry_mod
+
+        ds = FingerprintDataset(H)
+        enroll(ds, "dev-1", fp(block(0, 8)))
+        enroll(ds, "dev-2", fp(block(40, 8)))
+        path = tmp_path / "ds"
+        save_dataset(ds, str(path))
+        if fails:  # dev-1 decodes, then dev-2's gap raises mid-load
+            (path / "dev-2" / "3.fp").write_text((path / "dev-2" / "1.fp").read_text())
+        during = []
+        real_decode = registry_mod.decode_fingerprint
+
+        def spy(text):
+            during.append(gc.isenabled())
+            return real_decode(text)
+
+        monkeypatch.setattr(registry_mod, "decode_fingerprint", spy)
+        caller = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if fails:
+                with pytest.raises(DatasetError, match="3.fp"):
+                    load_dataset(str(path))
+            else:
+                load_dataset(str(path))
+            after = gc.isenabled()
+        finally:
+            (gc.enable if caller else gc.disable)()
+        assert after is enabled
+        assert during == [False] * (1 if fails else 2)
 
     def test_load_missing_dataset(self, tmp_path):
         with pytest.raises(DatasetError):

@@ -1,7 +1,9 @@
 """Property tests for flip locations and the set algebra built on them.
 
 ``FlipLocation`` is a validated 4-tuple; ``jaccard`` and
-``_pairing_values`` must give exactly what plain set arithmetic gives.
+``_pairing_values`` must give exactly what plain set arithmetic gives,
+and ``_pairing_values`` must fail exactly where scoring each case with
+``jaccard_prime`` fails.
 """
 
 import copy
@@ -13,12 +15,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hammerprint import evalharness
-from hammerprint.evalharness import _pairing_values
+from hammerprint.evalharness import ExperimentError, _pairing_values
 from hammerprint.fingerprint import (
     Fingerprint,
     FingerprintError,
     FlipLocation,
     jaccard,
+    jaccard_prime,
+    union_of,
 )
 
 FEW = settings(max_examples=60, deadline=None)
@@ -172,3 +176,66 @@ def test_unsampled_pairings_build_one_union_per_combination(monkeypatch):
     out = _pairing_values(qs, qs, 3, random.Random(0), 25000, exclude_self=True)
     assert len(out) == 35 * 4
     assert len(calls) == 35
+
+
+def set_pairing_values(new_queries, db_queries, d_size, rng, max_cases, exclude_self):
+    """The set-based ``_pairing_values``: a ``union_of`` per combination
+    and a ``jaccard_prime`` per case, with the same argument checks."""
+    if d_size < 1:
+        raise ExperimentError("d_size must be at least 1")
+    if max_cases < 1:
+        raise ExperimentError("max_cases must be at least 1")
+    n_db = len(db_queries)
+    if d_size > n_db - (1 if exclude_self else 0):
+        raise ExperimentError("insufficient queries for the requested database size")
+    combos = list(itertools.combinations(range(n_db), d_size))
+    cases = []
+    for combo in combos:
+        in_combo = set(combo)
+        for i in range(len(new_queries)):
+            if exclude_self and i in in_combo:
+                continue
+            cases.append((combo, i))
+    if len(cases) > max_cases:
+        cases = rng.sample(cases, max_cases)
+    out = []
+    db_combo = db = None
+    for combo, i in cases:
+        if combo != db_combo:
+            db_combo, db = combo, union_of([db_queries[k] for k in combo])
+        out.append((combo, i, jaccard_prime(new_queries[i], db)))
+    return out
+
+
+OTHER = "b" * 64
+
+
+@st.composite
+def faulty_pairing_inputs(draw):
+    """Pools where a query may be empty or carry another challenge."""
+    def query():
+        empty, foreign = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+        return Fingerprint(frozenset() if empty == 0 else draw(location_sets),
+                           OTHER if foreign == 0 else H)
+
+    exclude_self = draw(st.booleans())
+    new_qs = [query() for _ in range(draw(st.integers(1, 6)))]
+    db_qs = new_qs if exclude_self else [query() for _ in range(draw(st.integers(1, 6)))]
+    d_size = draw(st.integers(1, len(db_qs)))
+    max_cases = draw(st.sampled_from([1, 3, 10, 25000]))
+    seed = draw(st.integers(0, 2**32))
+    return new_qs, db_qs, d_size, seed, max_cases, exclude_self
+
+
+def outcome(pairings, args):
+    new_qs, db_qs, d_size, seed, max_cases, exclude_self = args
+    try:
+        return pairings(new_qs, db_qs, d_size, random.Random(seed), max_cases, exclude_self)
+    except (FingerprintError, ExperimentError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(faulty_pairing_inputs())
+def test_pairing_values_fail_exactly_like_the_set_formula(args):
+    assert outcome(_pairing_values, args) == outcome(set_pairing_values, args)
