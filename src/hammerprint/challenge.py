@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .codec import profile_errors, profile_lines, set_once
+from .codec import profile_errors, read_profile
 from .geometry import DramGeometry
 
 
@@ -188,19 +188,15 @@ def encode_challenge(ch: DramChallenge) -> str:
 
 def parse_challenge(text: str) -> DramChallenge:
     with profile_errors(ChallengeError, "challenge profile"):
-        fields: dict[str, str] = {}
-        temporal: list[tuple[float, float, float]] = []
-        for key, val in profile_lines(text):
-            if val is None:
-                raise ChallengeError(f"bad challenge line: {key!r}")
-            if key == "temporal":
-                f, p, a = val.split(",")
-                temporal.append((float(f), float(p), float(a)))
-            else:
-                set_once(fields, key, val, ChallengeError)
+        fields = read_profile(text, ChallengeError, "challenge", single=(
+            "bank_range", "first_aggressor_offset", "hammering_pattern", "aggressor_offsets",
+            "data_victim", "data_aggressor", "banks_measured", "measurements"),
+            repeated=("temporal",))
+        temporal = tuple((float(f), float(p), float(a))
+                         for f, p, a in (triple.split(",") for triple in fields["temporal"]))
         pattern = HammerPattern(PatternKind(fields["hammering_pattern"]),
                                 tuple(int(x) for x in fields["aggressor_offsets"].split(",")),
-                                tuple(temporal) if temporal else None)
+                                temporal or None)
         ch = DramChallenge(
             bank_range=tuple(int(b) for b in fields["bank_range"].split(",")),
             pattern=pattern,

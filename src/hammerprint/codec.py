@@ -1,16 +1,20 @@
-"""The line codec shared by the ``key=value`` profile texts.
+"""The line rule shared by the ``key=value`` profile texts.
 
-Challenge profiles, device profiles, mapping files, ``dataset.meta`` and
-fingerprint files use one line syntax: each line is stripped, blank and
-``#`` lines are skipped, and a line splits on its first ``=``. Each
-parser raises its own format's error for anything malformed, whatever
-the underlying failure.
+Challenge and device profiles, mapping files, ``dataset.meta`` and
+fingerprint files are read by ``read_profile``, in file order. Lines are
+stripped, blank and ``#`` lines skipped, and the rest split on their
+first ``=``. A single-valued key may appear once (either copy of a
+repeat would not round-trip); a repeatable key (``temporal``,
+``bankfn``) collects its values; key-less lines are read only where the
+format has them (mapping masks, fingerprint locations). Any other line,
+such as an unknown key, and any malformed value raise the format's own
+error, whatever the underlying failure.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Callable, Collection, Iterator
 
 
 def profile_lines(text: str) -> Iterator[tuple[str, str | None]]:
@@ -23,11 +27,28 @@ def profile_lines(text: str) -> Iterator[tuple[str, str | None]]:
 
 
 def set_once(fields: dict, key: str, value, error: type[ValueError]) -> None:
-    """Store a single-valued key; a repeat raises ``error``, because
-    taking either copy would leave a text that does not round-trip."""
+    """Store a single-valued key; a repeat raises ``error``."""
     if key in fields:
         raise error(f"repeated {key!r} line")
     fields[key] = value
+
+
+def read_profile(text: str, error: type[ValueError], what: str,
+                 single: Collection[str] = (), repeated: Collection[str] = (),
+                 bare: Callable[[str], object] | None = None) -> dict:
+    """The ``single`` keys present, each ``repeated`` key with its list of values;
+    ``bare`` takes each key-less line. Any other line raises ``error``."""
+    fields: dict = {key: [] for key in repeated}
+    for key, value in profile_lines(text):
+        if value is None and bare is not None:
+            bare(key)
+        elif value is not None and key in single:
+            set_once(fields, key, value, error)
+        elif value is not None and key in repeated:
+            fields[key].append(value)
+        else:
+            raise error(f"bad {what} line: {key if value is None else key + '=' + value!r}")
+    return fields
 
 
 def parse_bit_range(text: str) -> tuple[int, int]:

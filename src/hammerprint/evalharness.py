@@ -300,6 +300,7 @@ def detection_experiment(n_devices: int = 8, seed: int = 0, replace: int = 0) ->
             enroll(dataset, dev_id, fp)
         enrolled_ids.append(dev_id)
 
+    unions = [dataset.records[i].union() for i in enrolled_ids]  # identify never edits them
     true_ids: list[str | None] = list(enrolled_ids)
     if replace:
         for pos in rng.sample(range(n_devices), replace):
@@ -315,8 +316,7 @@ def detection_experiment(n_devices: int = 8, seed: int = 0, replace: int = 0) ->
         query = run_query(devices[idx], ch, rng.getrandbits(64),
                           device_hint=_virtual_attrs(rng, label))
         result = identify(dataset, query)
-        matrix.append([jaccard_prime(query, dataset.records[i].union())
-                       for i in enrolled_ids])
+        matrix.append([jaccard_prime(query, union) for union in unions])
         rows.append((position, label, true_ids[idx], result.device_id,
                      result.decision, result.similarity))
     return DetectionResult(enrolled_ids, rows, matrix)

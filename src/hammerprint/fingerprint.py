@@ -16,7 +16,7 @@ from itertools import repeat
 from operator import index, itemgetter
 from typing import Iterable
 
-from .codec import profile_lines, set_once
+from .codec import read_profile
 
 
 class FingerprintError(ValueError):
@@ -162,14 +162,11 @@ _CANONICAL_LOCATION = re.compile(
 
 
 def decode_fingerprint(text: str) -> Fingerprint:
-    """Parse a fingerprint file written in the profile line syntax.
-
-    A line without ``=`` is a location; ``challenge``, ``time`` and
-    ``hint`` are the headers, each at most once. Blank and ``#`` lines
-    are skipped.
+    """Parse a fingerprint file by the profile line rule: key-less lines
+    are locations, and ``challenge``, ``time`` and ``hint`` the headers.
 
     Canonical location lines are taken in one regex pass and cannot
-    fail; every other line goes through the line parser in file order,
+    fail; every other line goes through the line reader in file order,
     so the accepted inputs and the first error are those of parsing
     each line on its own.
     """
@@ -181,14 +178,9 @@ def decode_fingerprint(text: str) -> Fingerprint:
     # checks in FlipLocation.__new__ cannot fail and are skipped
     locations = frozenset(map(tuple.__new__, repeat(FlipLocation), fields))
     others = set()
-    headers: dict[str, str] = {}
-    for key, value in profile_lines("".join(parts[::5])):
-        if value is None:
-            others.add(_parse_location(key))
-        elif key in ("challenge", "time", "hint"):
-            set_once(headers, key, value, FingerprintError)
-        else:
-            raise FingerprintError(f"bad fingerprint line: {key + '=' + value!r}")
+    headers = read_profile("".join(parts[::5]), FingerprintError, "fingerprint",
+                           single=("challenge", "time", "hint"),
+                           bare=lambda line: others.add(_parse_location(line)))
     if "challenge" not in headers:
         raise FingerprintError("fingerprint file lacks a challenge= header")
     if others:

@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import gf2
-from .codec import parse_bit_range, profile_errors, profile_lines, set_once
+from .codec import parse_bit_range, profile_errors, read_profile
 
 
 class GeometryError(ValueError):
@@ -229,15 +229,10 @@ def encode_mapping(mapping: AddressMapping) -> str:
 def parse_mapping(text: str) -> AddressMapping:
     with profile_errors(MappingError, "mapping text"):
         funcs: list[int] = []
-        ranges: dict[str, tuple[int, int]] = {}
-        for key, val in profile_lines(text):
-            if val is None:
-                funcs.append(int(key, 16))
-            elif key in ("row", "col"):
-                set_once(ranges, key, parse_bit_range(val), MappingError)
-            else:
-                raise MappingError(f"bad mapping line: {key}={val}")
-        return AddressMapping(tuple(funcs), ranges["row"], ranges["col"])
+        ranges = read_profile(text, MappingError, "mapping", single=("row", "col"),
+                              bare=lambda mask: funcs.append(int(mask, 16)))
+        return AddressMapping(tuple(funcs), parse_bit_range(ranges["row"]),
+                              parse_bit_range(ranges["col"]))
 
 
 def timing_threshold(samples: list[float]) -> float:

@@ -22,7 +22,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .codec import profile_lines, set_once
+from .codec import read_profile
 from .fingerprint import (
     ChallengeMismatchError,
     Fingerprint,
@@ -142,9 +142,13 @@ def get_similarity(f_u: Fingerprint, record: DeviceRecord) -> float:
 
 def generate_new_id(dataset: FingerprintDataset) -> str:
     """Next free id: dev-<n> with n one past the highest existing index."""
+    return f"dev-{_next_index(dataset)}"
+
+
+def _next_index(dataset: FingerprintDataset) -> int:
     # isdecimal, not isdigit: exactly the Unicode digits (Nd) that int reads
     indices = (int(d[4:]) for d in dataset.records if d[:4] == "dev-" and d[4:].isdecimal())
-    return f"dev-{max(indices, default=0) + 1}"
+    return max(indices, default=0) + 1
 
 
 def identify(dataset: FingerprintDataset, f_u: Fingerprint,
@@ -221,8 +225,7 @@ def _write_atomic(path: str, content: str) -> None:
 
 def save_dataset(dataset: FingerprintDataset, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
-    next_index = int(generate_new_id(dataset).split("-")[1])
-    meta = f"challenge={dataset.challenge_hash}\nid_counter={next_index}\n"
+    meta = f"challenge={dataset.challenge_hash}\nid_counter={_next_index(dataset)}\n"
     for dev_id in sorted(dataset.records):
         record = dataset.records[dev_id]
         dev_dir = os.path.join(directory, dev_id)
@@ -236,14 +239,14 @@ def load_dataset(directory: str) -> FingerprintDataset:
     meta_path = os.path.join(directory, META_NAME)
     if not os.path.exists(meta_path):
         raise DatasetError(f"no dataset at {directory!r} (missing {META_NAME})")
-    meta: dict[str, str | None] = {}
     with open(meta_path) as fh:
-        for key, value in profile_lines(fh.read()):
-            set_once(meta, key, value, DatasetError)
-    challenge = meta.get("challenge")
-    if not challenge:
+        meta = read_profile(fh.read(), DatasetError, META_NAME, single=("challenge", "id_counter"))
+    if not meta.get("challenge"):
         raise DatasetError("dataset.meta lacks a challenge hash")
-    dataset = FingerprintDataset(challenge)
+    counter = meta.get("id_counter", "")
+    if not (counter.isascii() and counter.isdigit()):
+        raise DatasetError(f"dataset.meta lacks an id_counter in ASCII digits: {counter!r}")
+    dataset = FingerprintDataset(meta["challenge"])
     with _collector_paused():
         for dev_id in sorted(os.listdir(directory)):
             dev_dir = os.path.join(directory, dev_id)
@@ -261,10 +264,9 @@ def load_dataset(directory: str) -> FingerprintDataset:
                 with open(os.path.join(dev_dir, name)) as fh:
                     fps.append(decode_fingerprint(fh.read()))
             for fp in fps:
-                if fp.challenge_hash != challenge:
+                if fp.challenge_hash != dataset.challenge_hash:
                     raise ChallengeMismatchError(
-                        f"fingerprint under {dev_id!r} does not match the dataset challenge"
-                    )
+                        f"fingerprint under {dev_id!r} does not match the dataset challenge")
             dataset.records[dev_id] = DeviceRecord(dev_id, fps)
     return dataset
 

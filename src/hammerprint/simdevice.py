@@ -30,7 +30,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .challenge import DramChallenge, victim_rows
-from .codec import parse_bit_range, profile_errors, profile_lines, set_once
+from .codec import parse_bit_range, profile_errors, read_profile
 from .fingerprint import FlipLocation, Fingerprint, from_measurements
 from .geometry import (
     AddressMapping,
@@ -343,17 +343,13 @@ def encode_device(dev: SimDevice) -> str:
 
 def parse_device(text: str) -> SimDevice:
     with profile_errors(DeviceError, "device profile"):
-        values: dict[str, str] = {}
-        funcs: list[int] = []
-        for key, val in profile_lines(text):
-            if val is None:
-                raise DeviceError(f"bad device profile line: {key!r}")
-            if key == "bankfn":
-                funcs.append(int(val, 16))
-            else:
-                set_once(values, key, val, DeviceError)
+        values = read_profile(text, DeviceError, "device profile", single=(
+            "dimm_seed", "host_seed", *(f.name for f in fields(DramGeometry)), "row", "col",
+            "trr_enabled", "trr_sampler_size", *(f.name for f in fields(NoiseConfig))),
+            repeated=("bankfn",))
         geom = DramGeometry(**{f.name: int(values[f.name]) for f in fields(DramGeometry)})
-        mapping = AddressMapping(tuple(funcs), parse_bit_range(values["row"]),
+        mapping = AddressMapping(tuple(int(mask, 16) for mask in values["bankfn"]),
+                                 parse_bit_range(values["row"]),
                                  parse_bit_range(values["col"]))
         trr = TrrConfig(
             enabled=bool(int(values["trr_enabled"])),

@@ -11,8 +11,8 @@ nothing is written next to it.
 import types
 from pathlib import Path
 
-from hammerprint import evalharness, simdevice
-from hammerprint.challenge import default_challenge
+from hammerprint import evalharness, registry, simdevice
+from hammerprint.challenge import challenge_hash, default_challenge
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -83,3 +83,26 @@ def test_traced_reliability_sees_the_set_algebra_and_counts_pairings():
     assert "fingerprint.jaccard_prime" in names
     assert "fingerprint.union_of" in names
     assert tracer.counts["evalharness.pairings", None] == len(report.values) == 30
+
+
+def test_traced_fleet_load_and_identify_see_every_file(tmp_path):
+    # the traced fleet metrics divide by the decode_fingerprint spans, the
+    # files registry reads and the fingerprint_match spans
+    ch = default_challenge()
+    dataset = registry.FingerprintDataset(challenge_hash(ch))
+    for dimm in (1, 2):
+        dev = simdevice.new_sim_device(dimm, 2)
+        for seed in (3, 4):
+            registry.enroll(dataset, f"dev-{dimm}", simdevice.run_query(dev, ch, seed))
+    registry.save_dataset(dataset, str(tmp_path))
+    query = simdevice.run_query(simdevice.new_sim_device(1, 2), ch, 5)
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        registry.identify(registry.load_dataset(str(tmp_path)), query)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("fingerprint.decode_fingerprint") == 4  # one per .fp file
+    assert tracer.counts["registry.files_read", None] == 4 + 1  # and dataset.meta
+    assert names.count("registry.fingerprint_match") >= 1

@@ -146,6 +146,20 @@ class TestFingerprintCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("option", ["--device", "--challenge"])
+    def test_unknown_profile_key_is_usage_error(self, tmp_path, device_profile, option,
+                                               capsys):
+        ch_path = tmp_path / "default.ch"
+        ch_path.write_text(encode_challenge(default_challenge()))
+        bad = {"--device": device_profile, "--challenge": ch_path}[option]
+        bad.write_text(bad.read_text() + "owner=me\n")
+        out = tmp_path / "x.fp"
+        rc = cli.main(["fingerprint", "--device", str(device_profile),
+                       "--challenge", str(ch_path), "--out", str(out)])
+        assert rc == cli.EXIT_USAGE
+        assert "'owner=me'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_multiline_timestamp_is_usage_error_and_writes_nothing(self, tmp_path,
                                                                    device_profile, capsys):
         out = tmp_path / "a.fp"
@@ -300,6 +314,17 @@ class TestEnrollIdentify:
         for command in ("identify", "enroll"):
             assert cli.main(["--dataset", str(ds), command, str(fp_path)]) == cli.EXIT_USAGE
             assert "repeated 'challenge'" in capsys.readouterr().err
+
+    def test_unknown_meta_key_is_usage_error(self, tmp_path, device_profile, capsys):
+        ds = tmp_path / "ds"
+        fp_path = write_fingerprint(tmp_path, device_profile, "q.fp", 16)
+        assert cli.main(["--dataset", str(ds), "enroll", str(fp_path)]) == 0
+        meta = ds / "dataset.meta"
+        meta.write_text(meta.read_text() + "owner=me\n")
+        capsys.readouterr()
+        for command in ("identify", "enroll"):
+            assert cli.main(["--dataset", str(ds), command, str(fp_path)]) == cli.EXIT_USAGE
+            assert "'owner=me'" in capsys.readouterr().err
 
     def test_dataset_env_var(self, tmp_path, device_profile, monkeypatch):
         ds = tmp_path / "envds"

@@ -138,16 +138,17 @@ def fingerprints(draw):
 
 
 def garbled(encoded: st.SearchStrategy) -> st.SearchStrategy:
-    """Valid encodings with one line replaced, dropped or duplicated, or
-    a line's value replaced by arbitrary text."""
+    """Valid encodings with one line replaced, dropped or duplicated, a
+    line's value replaced by arbitrary text, or a copy of a line under an
+    arbitrary key added."""
     @st.composite
     def build(draw):
         lines = draw(encoded).splitlines()
         i = draw(st.integers(0, len(lines) - 1))
         junk = draw(st.text(max_size=20))
-        key = lines[i].partition("=")[0]
-        lines[i:i + 1] = draw(st.sampled_from(
-            [[junk], [], [lines[i], lines[i]], [f"{key}={junk}"]]))
+        key, _, value = lines[i].partition("=")
+        lines[i:i + 1] = draw(st.sampled_from([
+            [junk], [], [lines[i], lines[i]], [f"{key}={junk}"], [lines[i], f"{junk}={value}"]]))
         return "\n".join(lines) + "\n"
     return build()
 
@@ -287,17 +288,53 @@ def test_negative_phase_round_trips():
 # ``bankfn``, mapping masks and locations.
 
 
-@pytest.mark.parametrize("parse, error, text, repeat", [
+SINGLE_VALUED_KEYS = pytest.mark.parametrize("parse, error, text, repeat", [
     (parse_challenge, ChallengeError, encode_challenge(default_challenge()), "measurements=3"),
     (parse_device, DeviceError, encode_device(new_sim_device(1, 2)), "banks=16"),
     (parse_mapping, MappingError, "0x40\nrow=7:15\ncol=0:6\n", "row=8:16"),
     (decode_fingerprint, FingerprintError, "challenge=c\nb0:r1:c2:i3\n", "challenge=d"),
     (decode_fingerprint, FingerprintError, "challenge=c\ntime=1\n", "time=2"),
 ], ids=["challenge", "device", "mapping", "fingerprint-challenge", "fingerprint-time"])
+
+
+@SINGLE_VALUED_KEYS
 def test_repeated_single_valued_key_is_refused(parse, error, text, repeat):
     parse(text)
     with pytest.raises(error, match="repeated"):
         parse(text + repeat + "\n")
+
+
+@SINGLE_VALUED_KEYS
+def test_unknown_key_is_refused(parse, error, text, repeat):
+    # a near miss of a known key: dropping the line would not round-trip
+    unknown = "x" + repeat
+    parse(text)
+    with pytest.raises(error, match=f"bad .* line: '{unknown}'"):
+        parse(text + unknown + "\n")
+
+
+def content_keys(text: str) -> set[str]:
+    return {key for key, value in profile_lines(text) if value is not None}
+
+
+@pytest.mark.parametrize("parse, encode, error, encoded", [
+    (parse_challenge, encode_challenge, ChallengeError, challenges().map(encode_challenge)),
+    (parse_device, encode_device, DeviceError, devices().map(encode_device)),
+    (parse_mapping, encode_mapping, MappingError, mappings().map(encode_mapping)),
+    (decode_fingerprint, encode_fingerprint, FingerprintError, fingerprints().map(
+        lambda fp: encode_fingerprint(Fingerprint(fp.locations, "c")))),
+], ids=["challenge", "device", "mapping", "fingerprint"])
+@FEW
+@given(data=st.data())
+def test_accepted_keys_are_written_back(parse, encode, error, encoded, data):
+    # every key a parser accepts is one its encoder writes, so no line of
+    # an accepted text is silently dropped
+    text = data.draw(garbled(encoded))
+    try:
+        value = parse(text)
+    except error:
+        return
+    assert content_keys(text) <= content_keys(encode(value))
 
 
 # --- fingerprint decoding: canonical lines and the line parser --------------------

@@ -259,6 +259,26 @@ class TestPersistence:
         with pytest.raises(DatasetError, match="repeated 'challenge'"):
             load_dataset(str(path))
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda meta: meta + "owner=me\n", "bad dataset.meta line: 'owner=me'"),
+        (lambda meta: meta + "stray\n", "bad dataset.meta line: 'stray'"),
+        (lambda meta: meta.replace("id_counter=2\n", ""), "id_counter"),
+        (lambda meta: meta.replace("id_counter=2", "id_counter=abc"), "id_counter"),
+        (lambda meta: meta.replace("id_counter=2", "id_counter=\u0662"), "id_counter"),
+        (lambda meta: meta.replace("id_counter=2", "id_counter="), "id_counter"),
+    ], ids=["unknown-key", "key-less-line", "no-counter", "letters", "arabic-indic-digit",
+            "empty-counter"])
+    def test_meta_holds_exactly_what_save_writes(self, tmp_path, edit, message):
+        ds = FingerprintDataset(H)
+        enroll(ds, "dev-1", fp(block(0, 4)))
+        path = tmp_path / "ds"
+        save_dataset(ds, str(path))
+        meta = path / "dataset.meta"
+        assert meta.read_text() == f"challenge={H}\nid_counter=2\n"
+        meta.write_text(edit(meta.read_text()), encoding="utf-8")
+        with pytest.raises(DatasetError, match=message):
+            load_dataset(str(path))
+
     @pytest.mark.parametrize("stray", ["notes.fp", "0.fp", "01.fp", "3.fp"])
     def test_fp_name_outside_saved_names_is_refused(self, tmp_path, stray):
         # save writes 1.fp..k.fp; any other .fp name, or a gap (3.fp after
