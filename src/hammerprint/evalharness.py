@@ -54,9 +54,10 @@ class ExperimentReport:
         return max(self.values)
 
     def to_delimited(self) -> str:
+        # ``_cell`` inlined: a reliability report has about 20,000 rows
         lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(_cell(v) for v in row))
+        lines += [",".join([f"{v:.6g}" if isinstance(v, float) else str(v) for v in row])
+                  for row in self.rows]
         return "\n".join(lines) + "\n"
 
     def to_table(self, max_rows: int | None = None) -> str:

@@ -119,9 +119,10 @@ def _absorb(h, parts):
 _PRF_EMPTY = hashlib.blake2b(digest_size=8, key=b"hammerprint.simdevice")
 
 
-def _prf_prefix(*parts):
-    """A PRF state that has absorbed ``parts``, to pass as ``_prf(prefix=...)``."""
-    return _absorb(_PRF_EMPTY.copy(), parts)
+def _prf_prefix(*parts, prefix=_PRF_EMPTY):
+    """A PRF state that has absorbed ``parts`` after ``prefix``, to pass
+    as ``_prf(prefix=...)``; ``prefix`` is copied, not changed."""
+    return _absorb(prefix.copy(), parts)
 
 
 def _prf(*parts, prefix=_PRF_EMPTY) -> int:
@@ -194,8 +195,10 @@ class SimDevice:
                 polarity = rng.getrandbits(1)
                 marginal = rng.random() < self.noise.marginal_fraction
                 pos = base + j  # bit position within the row: column byte * 8 + bit
-                cells.append(SusceptibleCell(FlipLocation(bank, row, pos >> 3, pos & 7),
-                                             polarity, marginal))
+                # bank and row were range-checked by susceptible_cells and
+                # pos >= 0, so the constructors' checks cannot fail here
+                location = tuple.__new__(FlipLocation, (bank, row, pos >> 3, pos & 7))
+                cells.append(tuple.__new__(SusceptibleCell, (location, polarity, marginal)))
         return tuple(cells)
 
 
@@ -276,6 +279,13 @@ def hammer(dev: SimDevice, ch: DramChallenge, measurement_seed: int) -> list[set
     cell, or with no active one, skips its per-measurement streams: they
     could not flip anything, so the flip sets are the same as if they
     were drawn.
+
+    The PRF states up to the row are built once per call: ``act`` + bank
+    for each bank and ``meas`` + t + bank for each (measurement, bank),
+    so a stream's seed absorbs only its row. One generator serves every
+    stream: it is reseeded through the C-level seed that ``Random(x)``
+    itself ends in, so each stream's ``random()`` values are those of
+    ``Random(x)``.
     """
     ch.validate_for(dev.geom)
     results: list[set[FlipLocation]] = [set() for _ in range(ch.measurements)]
@@ -287,7 +297,13 @@ def hammer(dev: SimDevice, ch: DramChallenge, measurement_seed: int) -> list[set
     victim_value = ch.data.victim_value
     act_prefix = _prf_prefix("act", dev.device_key, measurement_seed)
     meas_prefix = _prf_prefix("meas", dev.device_key, measurement_seed)
+    meas_t = [_prf_prefix(t, prefix=meas_prefix) for t in range(ch.measurements)]
+    rng = random.Random()
+    reseed = super(random.Random, rng).seed
+    draw = rng.random
     for bank in ch.bank_range:
+        act_bank = _prf_prefix(bank, prefix=act_prefix)
+        meas_bank = [_prf_prefix(bank, prefix=state) for state in meas_t]
         for row in victims:
             cells = dev.susceptible_cells(bank, row)
             # charged-state gate: a true cell needs its bit initialized to
@@ -295,16 +311,16 @@ def hammer(dev: SimDevice, ch: DramChallenge, measurement_seed: int) -> list[set
             eligible = [c for c in cells if (victim_value >> c.location.bit) & 1 == c.polarity]
             if not eligible:
                 continue
-            arng = random.Random(_prf(bank, row, prefix=act_prefix))
-            active = [not c.marginal or arng.random() < activation for c in eligible]
+            reseed(_prf(row, prefix=act_bank))
+            active = [not c.marginal or draw() < activation for c in eligible]
             if not any(active):
                 continue
-            for t, flips in enumerate(results):
-                mrng = random.Random(_prf(t, bank, row, prefix=meas_prefix))
+            for state, flips in zip(meas_bank, results):
+                reseed(_prf(row, prefix=state))
                 # every eligible cell draws, active or not, so each draw
                 # stays tied to its cell
                 for cell, act in zip(eligible, active):
-                    if mrng.random() < p_flip and act:
+                    if draw() < p_flip and act:
                         flips.add(cell.location)
     return results
 

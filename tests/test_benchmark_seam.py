@@ -39,17 +39,25 @@ def test_tracer_installs_and_uninstalls_cleanly():
 
 
 def test_traced_query_counts_prf_calls_and_row_spans():
-    # the per-layer counters must still see the simulator's hashing and
-    # its 115 victim rows (5 banks x 23 rows) however they are computed
+    # the per-layer counters must still see every seed the simulator hashes
+    # and its 115 victim rows (5 banks x 23 rows) however they are computed:
+    # a stream seeded outside _prf would lower the exact counts
     tracer = load_tracing().Tracer()
     tracer.install()
+    dev = simdevice.new_sim_device(1, 2)
     try:
-        simdevice.run_query(simdevice.new_sim_device(1, 2), default_challenge(), 3)
+        tracer.request = "cold"
+        simdevice.run_query(dev, default_challenge(), 3)
+        tracer.request = "warm"
+        simdevice.run_query(dev, default_challenge(), 4)
     finally:
         tracer.uninstall()
-    rows = [span for span in tracer.spans if span[0] == "simdevice.susceptible_cells"]
-    assert len(rows) == 115
-    assert tracer.counts["simdevice.prf", None] > 0
+    for request in ("cold", "warm"):
+        rows = [span for span in tracer.spans
+                if span[0] == "simdevice.susceptible_cells" and span[4] == request]
+        assert len(rows) == 115
+    assert tracer.counts["simdevice.prf", "cold"] == 1174
+    assert tracer.counts["simdevice.prf", "warm"] == 1105
 
 
 def test_traced_access_time_resolves_each_address_once():

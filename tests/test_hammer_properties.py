@@ -7,6 +7,10 @@ copy of the PRF construction, so it checks ``hammer``'s prefix states
 independently. Each ``random.Random`` is seeded from its own PRF input,
 so visiting rows before measurements, or skipping a row that cannot
 flip, must give the same flip sets with no more PRF calls.
+
+``reference_hammer`` takes its cells from ``susceptible_cells``, so
+``reference_cells`` checks the row draw on its own: it hashes the whole
+derivation in full and builds every cell with the checked constructors.
 """
 
 import hashlib
@@ -15,7 +19,7 @@ from contextlib import contextmanager
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hammerprint import simdevice as sd
 from hammerprint.challenge import DataPattern, DramChallenge, PatternKind, build_pattern, victim_rows
@@ -31,6 +35,25 @@ def reference_prf(*parts):
         else:
             h.update(b"i" + int(p).to_bytes(17, "little", signed=True))
     return int.from_bytes(h.digest(), "little")
+
+
+def reference_cells(dev, bank, row):
+    """``dev.susceptible_cells(bank, row)`` from the device's seeds alone."""
+    key = reference_prf("host", reference_prf("dimm", dev.dimm_seed), dev.host_seed)
+    positions = dev.geom.columns_per_row * 8
+    block = min(sd.SUPPORT_BLOCK, positions)
+    base = reference_prf("slot", key) % (positions // block) * block
+    density_factor = 0.85 + 0.40 * (reference_prf("density", key) / 2**64)
+    p_cell = min(1.0, dev.noise.susceptibility_density * density_factor / block)
+    rng = random.Random(reference_prf("row", key, bank, row))
+    cells = []
+    for j in range(block):
+        if rng.random() < p_cell:
+            polarity = rng.getrandbits(1)
+            marginal = rng.random() < dev.noise.marginal_fraction
+            location = FlipLocation(bank, row, (base + j) // 8, (base + j) % 8)
+            cells.append(sd.SusceptibleCell(location, polarity, marginal))
+    return tuple(cells)
 
 
 def reference_hammer(dev, ch, measurement_seed, prf):
@@ -148,6 +171,39 @@ def test_one_pass_hammer_matches_two_pass_reference(case):
     assert got == want
     assert got_calls[0] <= want_calls[0]
     assert all(type(loc) is FlipLocation for flips in got for loc in flips)
+
+
+def types_of(cells):
+    return [(type(c), *map(type, c), *map(type, c.location)) for c in cells]
+
+
+@settings(max_examples=60, deadline=None)
+@given(setups(), st.data())
+def test_row_draw_matches_reference(setup, data):
+    dev = new_device(setup)
+    geom = setup[1]
+    rows = data.draw(st.lists(st.tuples(st.integers(0, geom.banks - 1),
+                                        st.integers(0, geom.rows_per_bank - 1)),
+                              min_size=1, max_size=8))
+    for bank, row in rows:
+        got, want = dev.susceptible_cells(bank, row), reference_cells(dev, bank, row)
+        assert got == want
+        assert type(got) is tuple
+        assert types_of(got) == types_of(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
+@example(0, 2**64 - 1)
+@example(2**64 - 1, 0)
+def test_reseeded_generator_draws_like_a_new_one(x, earlier):
+    # hammer reseeds one used generator per stream instead of building
+    # Random(x); its random() stream must not tell the two apart
+    rng = random.Random(earlier)
+    rng.random()
+    super(random.Random, rng).seed(x)
+    want = random.Random(x)
+    assert [rng.random() for _ in range(32)] == [want.random() for _ in range(32)]
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import statistics
 from dataclasses import fields
@@ -98,6 +100,19 @@ class TestDeterminism:
     def test_susceptible_cells_pure(self):
         dev = new_sim_device(7, 8)
         assert dev.susceptible_cells(0, 2) == dev.susceptible_cells(0, 2)
+
+    @pytest.mark.parametrize("round_trip", [copy.deepcopy,
+                                            lambda dev: pickle.loads(pickle.dumps(dev))])
+    def test_warm_device_survives_copy_and_pickle(self, round_trip):
+        # a device keeps its rows and cached values after a query; none of
+        # them may stop it being copied or pickled
+        ch = default_challenge()
+        dev = new_sim_device(42, 43)
+        run_query(dev, ch, 1)
+        twin = round_trip(dev)
+        assert twin == dev
+        want = encode_fingerprint(run_query(dev, ch, 2))
+        assert encode_fingerprint(run_query(twin, ch, 2)) == want
 
 
 class TestLatentSupport:
