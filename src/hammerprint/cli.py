@@ -135,8 +135,9 @@ def cmd_fingerprint(args) -> int:
         fh.write(text)
     print(f"wrote {args.out}: {len(fp.locations)} bit flips")
     if not fp.locations:
-        print("warning: query produced zero flips (TRR suppressed the pattern?)",
-              file=sys.stderr)
+        cause = ("TRR neutralized the pattern" if simdevice.trr_neutralizes(dev, ch)
+                 else "no eligible active cell flipped")
+        print(f"warning: query produced zero flips ({cause})", file=sys.stderr)
         return EXIT_ZERO_FLIPS
     return EXIT_OK
 

@@ -26,7 +26,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 from .challenge import DramChallenge, victim_rows
@@ -265,6 +265,52 @@ def trr_neutralizes(dev: SimDevice, ch: DramChallenge) -> bool:
     return len(set(ch.pattern.aggressor_offsets)) <= dev.trr.sampler_size
 
 
+def _query_rows(dev: SimDevice, ch: DramChallenge, measurement_seed: int):
+    """What ``hammer`` and ``run_query`` share before their measurement
+    streams: the rows that can flip, and the means to draw their streams.
+
+    Validates the challenge, then returns ``(rows, meas_state, reseed,
+    draw)``. ``rows`` lists ``(bank, row, eligible, active)`` for each
+    victim row with at least one active eligible cell (none when TRR
+    neutralizes the pattern). ``meas_state(t, bank)`` is the ``meas`` + t
+    + bank PRF state, built on first use, so a stream's seed is
+    ``_prf(row, prefix=meas_state(t, bank))``. ``reseed`` and ``draw``
+    drive one generator through the C-level seed that ``Random(x)``
+    itself ends in, so each stream's ``random()`` values are those of
+    ``Random(x)``.
+    """
+    ch.validate_for(dev.geom)
+    rng = random.Random()
+    reseed = super(random.Random, rng).seed
+    draw = rng.random
+
+    @cache
+    def meas_state(t: int, bank: int):
+        return _prf_prefix("meas", dev.device_key, measurement_seed, t, bank)
+
+    rows = []
+    if trr_neutralizes(dev, ch):
+        return rows, meas_state, reseed, draw
+    victims = victim_rows(ch.pattern)
+    activation = dev.noise.marginal_activation
+    victim_value = ch.data.victim_value
+    act_prefix = _prf_prefix("act", dev.device_key, measurement_seed)
+    for bank in ch.bank_range:
+        act_bank = _prf_prefix(bank, prefix=act_prefix)
+        for row in victims:
+            cells = dev.susceptible_cells(bank, row)
+            # charged-state gate: a true cell needs its bit initialized to
+            # 1, an anti cell to 0, i.e. init bit == polarity
+            eligible = [c for c in cells if (victim_value >> c.location.bit) & 1 == c.polarity]
+            if not eligible:
+                continue
+            reseed(_prf(row, prefix=act_bank))
+            active = [not c.marginal or draw() < activation for c in eligible]
+            if any(active):
+                rows.append((bank, row, eligible, active))
+    return rows, meas_state, reseed, draw
+
+
 def hammer(dev: SimDevice, ch: DramChallenge, measurement_seed: int) -> list[set[FlipLocation]]:
     """Run one fingerprint query: per-measurement sets of flip locations.
 
@@ -278,59 +324,55 @@ def hammer(dev: SimDevice, ch: DramChallenge, measurement_seed: int) -> list[set
     input, so skipping one moves no other draw. A row with no eligible
     cell, or with no active one, skips its per-measurement streams: they
     could not flip anything, so the flip sets are the same as if they
-    were drawn.
+    were drawn. Every other row draws all of its measurement streams;
+    ``run_query``, which needs only their union, stops earlier.
 
     The PRF states up to the row are built once per call: ``act`` + bank
-    for each bank and ``meas`` + t + bank for each (measurement, bank),
-    so a stream's seed absorbs only its row. One generator serves every
-    stream: it is reseeded through the C-level seed that ``Random(x)``
-    itself ends in, so each stream's ``random()`` values are those of
-    ``Random(x)``.
+    for each bank and ``meas`` + t + bank for each (measurement, bank)
+    that a row draws, so a stream's seed absorbs only its row. One
+    generator serves every stream (``_query_rows``).
     """
-    ch.validate_for(dev.geom)
+    rows, meas_state, reseed, draw = _query_rows(dev, ch, measurement_seed)
     results: list[set[FlipLocation]] = [set() for _ in range(ch.measurements)]
-    if trr_neutralizes(dev, ch):
-        return results
-    victims = victim_rows(ch.pattern)
     p_flip = dev.noise.p_flip_given_susceptible
-    activation = dev.noise.marginal_activation
-    victim_value = ch.data.victim_value
-    act_prefix = _prf_prefix("act", dev.device_key, measurement_seed)
-    meas_prefix = _prf_prefix("meas", dev.device_key, measurement_seed)
-    meas_t = [_prf_prefix(t, prefix=meas_prefix) for t in range(ch.measurements)]
-    rng = random.Random()
-    reseed = super(random.Random, rng).seed
-    draw = rng.random
-    for bank in ch.bank_range:
-        act_bank = _prf_prefix(bank, prefix=act_prefix)
-        meas_bank = [_prf_prefix(bank, prefix=state) for state in meas_t]
-        for row in victims:
-            cells = dev.susceptible_cells(bank, row)
-            # charged-state gate: a true cell needs its bit initialized to
-            # 1, an anti cell to 0, i.e. init bit == polarity
-            eligible = [c for c in cells if (victim_value >> c.location.bit) & 1 == c.polarity]
-            if not eligible:
-                continue
-            reseed(_prf(row, prefix=act_bank))
-            active = [not c.marginal or draw() < activation for c in eligible]
-            if not any(active):
-                continue
-            for state, flips in zip(meas_bank, results):
-                reseed(_prf(row, prefix=state))
-                # every eligible cell draws, active or not, so each draw
-                # stays tied to its cell
-                for cell, act in zip(eligible, active):
-                    if draw() < p_flip and act:
-                        flips.add(cell.location)
+    for bank, row, eligible, active in rows:
+        for t, flips in enumerate(results):
+            reseed(_prf(row, prefix=meas_state(t, bank)))
+            # every eligible cell draws, active or not, so each draw
+            # stays tied to its cell
+            for cell, act in zip(eligible, active):
+                if draw() < p_flip and act:
+                    flips.add(cell.location)
     return results
 
 
 def run_query(dev: SimDevice, ch: DramChallenge, measurement_seed: int,
               device_hint: str | None = None,
               query_time: str | None = None) -> Fingerprint:
-    """Hammer and union the measurements into a challenge-bound fingerprint."""
-    sets = hammer(dev, ch, measurement_seed)
-    return from_measurements(sets, challenge_mod.challenge_hash(ch),
+    """Hammer and union the measurements into a challenge-bound fingerprint.
+
+    The fingerprint is the union of ``hammer``'s flip sets, and this draws
+    only what the union needs: a row's measurement streams ``t = 0, 1, …``
+    until each of its active cells has flipped once, then the next row.
+    Each stream is seeded from its own (t, bank, row) PRF input and draws
+    every eligible cell in order, so a skipped stream moves no other draw;
+    it could only have flipped cells already in the union, so the
+    locations are the same set ``hammer`` gives.
+    """
+    rows, meas_state, reseed, draw = _query_rows(dev, ch, measurement_seed)
+    union: set[FlipLocation] = set()
+    p_flip = dev.noise.p_flip_given_susceptible
+    for bank, row, eligible, active in rows:
+        waiting = active.count(True)
+        for t in range(ch.measurements):
+            reseed(_prf(row, prefix=meas_state(t, bank)))
+            for cell, act in zip(eligible, active):
+                if draw() < p_flip and act and cell.location not in union:
+                    union.add(cell.location)
+                    waiting -= 1
+            if not waiting:
+                break
+    return from_measurements([union], challenge_mod.challenge_hash(ch),
                              device_hint=device_hint, query_time=query_time)
 
 

@@ -56,8 +56,8 @@ def test_traced_query_counts_prf_calls_and_row_spans():
         rows = [span for span in tracer.spans
                 if span[0] == "simdevice.susceptible_cells" and span[4] == request]
         assert len(rows) == 115
-    assert tracer.counts["simdevice.prf", "cold"] == 1174
-    assert tracer.counts["simdevice.prf", "warm"] == 1105
+    assert tracer.counts["simdevice.prf", "cold"] == 336
+    assert tracer.counts["simdevice.prf", "warm"] == 223
 
 
 def test_traced_access_time_resolves_each_address_once():

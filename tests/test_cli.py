@@ -101,6 +101,35 @@ class TestFingerprintCommand:
         assert rc == cli.EXIT_ZERO_FLIPS
         assert "zero flips" in capsys.readouterr().err
 
+    def test_zero_flips_names_trr_when_it_neutralizes_the_pattern(self, tmp_path,
+                                                                  device_profile, capsys):
+        ch = DramChallenge((0,), build_pattern(PatternKind.DOUBLE_SIDED, 2, 1),
+                           DataPattern(), 2)
+        ch_path = tmp_path / "double.ch"
+        ch_path.write_text(encode_challenge(ch))
+        out = tmp_path / "z.fp"
+        rc = cli.main(["fingerprint", "--device", str(device_profile),
+                       "--challenge", str(ch_path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_ZERO_FLIPS
+        assert captured.out == f"wrote {out}: 0 bit flips\n"
+        assert captured.err == ("warning: query produced zero flips "
+                                "(TRR neutralized the pattern)\n")
+
+    def test_zero_flips_without_trr_says_no_cell_flipped(self, tmp_path, capsys):
+        # the default 22-sided pattern is wider than the 16-row TRR sampler,
+        # so it gets through; with p_flip = 0 no eligible active cell flips
+        prof = tmp_path / "dud.prof"
+        prof.write_text(encode_device(new_sim_device(
+            1, 2, noise=NoiseConfig(p_flip_given_susceptible=0.0))))
+        out = tmp_path / "z.fp"
+        rc = cli.main(["fingerprint", "--device", str(prof), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_ZERO_FLIPS
+        assert captured.out == f"wrote {out}: 0 bit flips\n"
+        assert captured.err == ("warning: query produced zero flips "
+                                "(no eligible active cell flipped)\n")
+
     def test_unreadable_profile_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.prof"
         bad.write_text("not a profile\n")

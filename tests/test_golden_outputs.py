@@ -7,6 +7,10 @@ to alter them belongs in its own change that says which bytes moved.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hammerprint import cli
 
@@ -39,6 +43,34 @@ def test_default_seed_outputs_are_byte_identical(tmp_path, capsys):
     for name in ("reliability", "tradeoff"):
         assert cli.main(["eval", name, "--out-dir", str(tmp_path)]) == 0
     assert {name: sha256(tmp_path / name) for name in GOLDEN} == GOLDEN
+
+
+# run in a fresh interpreter, so the hash seed is the one the test sets
+GOLDEN_SEQUENCE = """
+from hammerprint import cli
+assert cli.main(["simulate", "new-device", "--out", "device.prof"]) == 0
+assert cli.main(["fingerprint", "--device", "device.prof", "--out", "query.fp"]) == 0
+assert cli.main(["eval", "reliability", "--out-dir", "."]) == 0
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # string hashing and set order change with PYTHONHASHSEED; no output
+    # byte may follow them
+    src = str(Path(cli.__file__).resolve().parents[1])
+    names = ("device.prof", "query.fp", "reliability_device1.csv", "reliability_device2.csv")
+    runs = []
+    for hash_seed in ("0", "4242"):
+        out = tmp_path / hash_seed
+        out.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", GOLDEN_SEQUENCE], cwd=out, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        runs.append((done.stdout, {name: sha256(out / name) for name in names}))
+    assert runs[0] == runs[1]
+    assert runs[0][1] == {name: GOLDEN[name] for name in names}
 
 
 GOLDEN_REPORTS = {

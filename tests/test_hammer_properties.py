@@ -11,6 +11,9 @@ flip, must give the same flip sets with no more PRF calls.
 ``reference_hammer`` takes its cells from ``susceptible_cells``, so
 ``reference_cells`` checks the row draw on its own: it hashes the whole
 derivation in full and builds every cell with the checked constructors.
+
+``run_query`` stops a row's streams once every active cell has flipped,
+so it is held to the union of ``hammer``'s sets, with no more PRF calls.
 """
 
 import hashlib
@@ -22,8 +25,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hammerprint import simdevice as sd
-from hammerprint.challenge import DataPattern, DramChallenge, PatternKind, build_pattern, victim_rows
-from hammerprint.fingerprint import FlipLocation
+from hammerprint.challenge import (
+    DataPattern,
+    DramChallenge,
+    PatternKind,
+    build_pattern,
+    challenge_hash,
+    victim_rows,
+)
+from hammerprint.fingerprint import FlipLocation, from_measurements
 from hammerprint.geometry import DramGeometry, GeometryError, canonical_mapping
 
 
@@ -171,6 +181,31 @@ def test_one_pass_hammer_matches_two_pass_reference(case):
     assert got == want
     assert got_calls[0] <= want_calls[0]
     assert all(type(loc) is FlipLocation for flips in got for loc in flips)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases(), st.sampled_from([None, "dev-7"]), st.sampled_from([None, "2026-01-02T03:04"]))
+def test_run_query_is_the_union_of_hammer(case, hint, when):
+    setup, [(ch, measurement_seed)] = case
+    with counting_prf() as (want_calls, _):
+        want = from_measurements(sd.hammer(new_device(setup), ch, measurement_seed),
+                                 challenge_hash(ch), device_hint=hint, query_time=when)
+    with counting_prf() as (got_calls, _):
+        got = sd.run_query(new_device(setup), ch, measurement_seed,
+                           device_hint=hint, query_time=when)
+    assert got.locations == want.locations
+    assert (got.challenge_hash, got.device_hint, got.query_time) == (
+        want.challenge_hash, want.device_hint, want.query_time)
+    # run_query may stop a row's streams early, never seed more of them
+    assert got_calls[0] <= want_calls[0]
+
+    # a warm device reports the row cache's own location objects
+    warm = new_device(setup)
+    sd.hammer(warm, ch, measurement_seed)
+    again = sd.run_query(warm, ch, measurement_seed)
+    assert again.locations == want.locations
+    assert all(any(cell.location is loc for cell in warm._row_cells[loc.bank, loc.row])
+               for loc in again.locations)
 
 
 def types_of(cells):
