@@ -12,9 +12,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .challenge import DramChallenge, challenge_hash, default_challenge
-from .fingerprint import Fingerprint, jaccard_prime, union_of
+from .fingerprint import Fingerprint, _require_same_challenge, jaccard_prime, union_of
 from .registry import (
     FingerprintDataset,
     enroll,
@@ -40,6 +41,8 @@ class ExperimentReport:
     def __post_init__(self):
         if len(self.rows) != len(self.values):
             raise ExperimentError("one value per row required")
+        if set(map(len, self.rows)) - {len(self.columns)}:
+            raise ExperimentError("one cell per column required in every row")
 
     @property
     def mean(self) -> float:
@@ -54,10 +57,26 @@ class ExperimentReport:
         return max(self.values)
 
     def to_delimited(self) -> str:
-        # ``_cell`` inlined: a reliability report has about 20,000 rows
+        """CSV text: a header line, then one line per row, cells by ``_cell``.
+
+        Each row is rendered by one ``str.format`` template built for the
+        report: ``{:.6g}`` for a column of exact floats, ``{}`` for one of
+        exact strings and ints, which is what ``_cell`` gives them. The
+        cells of a column holding any other kind or a mix go through
+        ``_cell`` one by one.
+        """
+        fields, loose = [], []
+        for j in range(len(self.columns)):
+            kinds = set(map(type, map(itemgetter(j), self.rows)))
+            fields.append("{:.6g}" if kinds == {float} else "{}")
+            if kinds != {float} and not kinds <= {str, int}:
+                loose.append(j)
+        render = ",".join(fields).format
+        rows = self.rows
+        if loose:
+            rows = ([_cell(v) if j in loose else v for j, v in enumerate(row)] for row in rows)
         lines = [",".join(self.columns)]
-        lines += [",".join([f"{v:.6g}" if isinstance(v, float) else str(v) for v in row])
-                  for row in self.rows]
+        lines += [render(*row) for row in rows]
         return "\n".join(lines) + "\n"
 
     def to_table(self, max_rows: int | None = None) -> str:
@@ -106,9 +125,8 @@ def _pairing_values(new_queries: list[Fingerprint],
     union, exhaustively when small enough, otherwise a seeded sample.
 
     With ``exclude_self`` both pools are the same query list and the new
-    query never appears in its own database draw. Cases of one
-    combination share its union; unsampled cases come grouped by
-    combination, so each union is built once.
+    query never appears in its own database draw. Unsampled cases come
+    grouped by combination, so each combination is one run of cases.
 
     The overlaps are counted on bits. Each distinct location of either
     pool gets its own bit number, once per call, so a query becomes one
@@ -120,9 +138,12 @@ def _pairing_values(new_queries: list[Fingerprint],
 
     ``jaccard_prime`` itself scores the first case of each new query
     (it raises for an empty one) and any case whose challenge differs
-    from the drawn union's (it raises the mismatch). So every error is
-    the one the set formula raises, at the same case; ``union_of`` still
-    builds each drawn union and raises for mixed challenges in a draw.
+    from the drawn database's (it raises the mismatch). So every error is
+    the one the set formula raises, at the same case. Each run of
+    consecutive cases of one combination first checks its members'
+    challenges as ``union_of`` does, and a union is built only where
+    ``jaccard_prime`` scores: at most once per run, and never for a run
+    whose cases are all popcounts.
     """
     if d_size < 1:
         raise ExperimentError("d_size must be at least 1")
@@ -148,22 +169,27 @@ def _pairing_values(new_queries: list[Fingerprint],
 
     new_bits = [bits_of(fp) for fp in new_queries]
     db_bits = [bits_of(fp) for fp in db_queries]
+    new_sizes = [len(fp.locations) for fp in new_queries]
+    new_hashes = [fp.challenge_hash for fp in new_queries]
     scored = set()  # new queries jaccard_prime has scored once
     out = []
-    db_combo = db = None
-    for combo, i in cases:
-        if combo != db_combo:
-            db_combo, db = combo, union_of([db_queries[k] for k in combo])
-            mask = 0
-            for k in combo:
-                mask |= db_bits[k]
-        new = new_queries[i]
-        if i not in scored or new.challenge_hash != db.challenge_hash:
-            scored.add(i)
-            value = jaccard_prime(new, db)
-        else:
-            value = (new_bits[i] & mask).bit_count() / len(new.locations)
-        out.append((combo, i, value))
+    for combo, run in itertools.groupby(cases, key=itemgetter(0)):
+        members = [db_queries[k] for k in combo]
+        _require_same_challenge(*members)
+        db_hash = members[0].challenge_hash
+        db = None  # the run's union, built on the first case that needs it
+        mask = 0
+        for k in combo:
+            mask |= db_bits[k]
+        for _, i in run:
+            if i not in scored or new_hashes[i] != db_hash:
+                scored.add(i)
+                if db is None:
+                    db = union_of(members)
+                value = jaccard_prime(new_queries[i], db)
+            else:
+                value = (new_bits[i] & mask).bit_count() / new_sizes[i]
+            out.append((combo, i, value))
     return out
 
 
@@ -189,11 +215,10 @@ def reliability_experiment(dev: SimDevice, ch: DramChallenge,
         raise ExperimentError("d_size must be smaller than n_queries")
     queries = _make_queries(dev, ch, seed, n_queries)
     rng = random.Random(f"{seed}:combos")
-    rows, values = [], []
-    for label, i, value in _labelled(_pairing_values(queries, queries, d_size, rng,
-                                                     max_cases, exclude_self=True)):
-        rows.append((label, i, len(queries[i].locations), value))
-        values.append(value)
+    pairings = _pairing_values(queries, queries, d_size, rng, max_cases, exclude_self=True)
+    flips = [len(q.locations) for q in queries]
+    rows = [(label, i, flips[i], value) for label, i, value in _labelled(pairings)]
+    values = [value for _, _, value in pairings]
     return ExperimentReport(
         name="reliability",
         columns=("database_queries", "new_query", "new_query_flips", "jaccard_prime"),

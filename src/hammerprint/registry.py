@@ -66,6 +66,9 @@ class FingerprintDataset:
     records: dict[str, DeviceRecord] = field(default_factory=dict)
 
     def __post_init__(self):
+        # the id_counter of the dataset.meta this was loaded from, outside
+        # repr and ==: ids below it may name deleted devices
+        self._id_counter = 0
         self._reset()
 
     def _reset(self) -> None:
@@ -141,14 +144,15 @@ def get_similarity(f_u: Fingerprint, record: DeviceRecord) -> float:
 
 
 def generate_new_id(dataset: FingerprintDataset) -> str:
-    """Next free id: dev-<n> with n one past the highest existing index."""
+    """Next free id: dev-<n> with n one past the highest existing index, and
+    no lower than the loaded ``id_counter``, so a deleted id is not reused."""
     return f"dev-{_next_index(dataset)}"
 
 
 def _next_index(dataset: FingerprintDataset) -> int:
     # isdecimal, not isdigit: exactly the Unicode digits (Nd) that int reads
     indices = (int(d[4:]) for d in dataset.records if d[:4] == "dev-" and d[4:].isdecimal())
-    return max(indices, default=0) + 1
+    return max(dataset._id_counter, max(indices, default=0) + 1)
 
 
 def identify(dataset: FingerprintDataset, f_u: Fingerprint,
@@ -247,6 +251,10 @@ def load_dataset(directory: str) -> FingerprintDataset:
     if not (counter.isascii() and counter.isdigit()):
         raise DatasetError(f"dataset.meta lacks an id_counter in ASCII digits: {counter!r}")
     dataset = FingerprintDataset(meta["challenge"])
+    try:
+        dataset._id_counter = int(counter)
+    except ValueError:  # more digits than int() converts
+        raise DatasetError(f"dataset.meta id_counter has {len(counter)} digits") from None
     with _collector_paused():
         for dev_id in sorted(os.listdir(directory)):
             dev_dir = os.path.join(directory, dev_id)

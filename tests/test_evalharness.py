@@ -34,6 +34,12 @@ class TestExperimentReport:
         with pytest.raises(ExperimentError):
             ExperimentReport("t", ("x",), [(1,)], [0.5, 0.7])
 
+    @pytest.mark.parametrize("row", [(1,), (1, 0.5, "extra"), ()])
+    def test_row_width_must_match_the_columns(self, row):
+        # the CSV row template would drop an extra cell without a word
+        with pytest.raises(ExperimentError, match="one cell per column"):
+            ExperimentReport("t", ("x", "v"), [(2, 0.7), row], [0.7, 0.5])
+
     def test_delimited_and_table(self):
         rep = ExperimentReport("t", ("x", "v"), [(1, 0.5)], [0.5])
         csv = rep.to_delimited()

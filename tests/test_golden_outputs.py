@@ -51,6 +51,7 @@ from hammerprint import cli
 assert cli.main(["simulate", "new-device", "--out", "device.prof"]) == 0
 assert cli.main(["fingerprint", "--device", "device.prof", "--out", "query.fp"]) == 0
 assert cli.main(["eval", "reliability", "--out-dir", "."]) == 0
+assert cli.main(["eval", "uniqueness", "--out-dir", "."]) == 0
 """
 
 
@@ -58,7 +59,8 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     # string hashing and set order change with PYTHONHASHSEED; no output
     # byte may follow them
     src = str(Path(cli.__file__).resolve().parents[1])
-    names = ("device.prof", "query.fp", "reliability_device1.csv", "reliability_device2.csv")
+    names = ("device.prof", "query.fp", "reliability_device1.csv", "reliability_device2.csv",
+             "uniqueness.csv")
     runs = []
     for hash_seed in ("0", "4242"):
         out = tmp_path / hash_seed
@@ -70,7 +72,7 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
         assert done.returncode == 0, done.stderr
         runs.append((done.stdout, {name: sha256(out / name) for name in names}))
     assert runs[0] == runs[1]
-    assert runs[0][1] == {name: GOLDEN[name] for name in names}
+    assert runs[0][1] == {name: {**GOLDEN, **GOLDEN_REPORTS}[name] for name in names}
 
 
 GOLDEN_REPORTS = {

@@ -1,5 +1,6 @@
 import gc
 import os
+import shutil
 
 import pytest
 
@@ -248,6 +249,35 @@ class TestPersistence:
         meta = (tmp_path / "ds" / "dataset.meta").read_text()
         assert f"challenge={H}" in meta
         assert "id_counter=8" in meta
+
+    def test_deleted_highest_device_id_is_not_reused(self, tmp_path):
+        ds = FingerprintDataset(H)
+        for i in range(3):
+            enroll(ds, generate_new_id(ds), fp(block(10 * i, 4)))
+        path = tmp_path / "ds"
+        save_dataset(ds, str(path))
+        shutil.rmtree(path / "dev-3")
+        loaded = load_dataset(str(path))
+        assert (path / "dataset.meta").read_text() == f"challenge={H}\nid_counter=4\n"
+        # the counter stays outside repr and ==, and survives an index rebuild
+        del ds.records["dev-3"]
+        assert loaded == ds and "counter" not in repr(loaded)
+        loaded._reset()
+        assert generate_new_id(loaded) == "dev-4"
+        enroll(loaded, "dev-4", fp(block(50, 4)))
+        assert generate_new_id(loaded) == "dev-5"
+        # a counter below the existing ids gives way to them
+        (path / "dataset.meta").write_text(f"challenge={H}\nid_counter=1\n")
+        assert generate_new_id(load_dataset(str(path))) == "dev-3"
+
+    def test_counter_too_long_for_int_is_refused(self, tmp_path):
+        ds = FingerprintDataset(H)
+        enroll(ds, "dev-1", fp(block(0, 4)))
+        path = tmp_path / "ds"
+        save_dataset(ds, str(path))
+        (path / "dataset.meta").write_text(f"challenge={H}\nid_counter={'9' * 5000}\n")
+        with pytest.raises(DatasetError, match="5000 digits"):
+            load_dataset(str(path))
 
     def test_repeated_meta_key_is_refused(self, tmp_path):
         ds = FingerprintDataset(H)

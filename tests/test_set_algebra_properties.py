@@ -3,7 +3,8 @@
 ``FlipLocation`` is a validated 4-tuple; ``jaccard`` and
 ``_pairing_values`` must give exactly what plain set arithmetic gives,
 and ``_pairing_values`` must fail exactly where scoring each case with
-``jaccard_prime`` fails.
+``jaccard_prime`` fails. A report's CSV must be the text of rendering
+each cell on its own.
 """
 
 import copy
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hammerprint import evalharness
-from hammerprint.evalharness import ExperimentError, _pairing_values
+from hammerprint.evalharness import ExperimentError, ExperimentReport, _pairing_values
 from hammerprint.fingerprint import (
     Fingerprint,
     FingerprintError,
@@ -161,21 +162,47 @@ def test_pairing_values_match_brute_force(args):
     assert got == want
 
 
-def test_unsampled_pairings_build_one_union_per_combination(monkeypatch):
+def counted_unions(monkeypatch, qs):
+    """Patch ``union_of``; the list it returns gains each union's combination."""
     calls = []
     real = evalharness.union_of
 
     def counted(fps):
-        calls.append(fps)
+        calls.append(tuple(next(k for k, q in enumerate(qs) if q is fp) for fp in fps))
         return real(fps)
 
     monkeypatch.setattr(evalharness, "union_of", counted)
+    return calls
+
+
+def seven_queries():
     rng = random.Random(3)
-    qs = [Fingerprint({FlipLocation(0, 0, rng.randrange(50), 0) for _ in range(20)}, H)
-          for _ in range(7)]
+    return [Fingerprint({FlipLocation(0, 0, rng.randrange(50), 0) for _ in range(20)}, H)
+            for _ in range(7)]
+
+
+def test_pairings_build_a_union_only_where_jaccard_prime_scores(monkeypatch):
+    qs = seven_queries()
+    calls = counted_unions(monkeypatch, qs)
     out = _pairing_values(qs, qs, 3, random.Random(0), 25000, exclude_self=True)
     assert len(out) == 35 * 4
-    assert len(calls) == 35
+    # the first combination without query i scores i's first case:
+    # queries 3-6 in (0,1,2), then 2, 1 and 0
+    assert calls == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+
+
+def test_sampled_pairings_build_at_most_one_union_per_run(monkeypatch):
+    qs = seven_queries()
+    calls = counted_unions(monkeypatch, qs)
+    out = _pairing_values(qs, qs, 1, random.Random(2), 30, exclude_self=True)
+    assert len(out) == 30
+    seen, firsts = set(), []  # per run: its cases that score a new query first
+    for combo, run in itertools.groupby(out, key=lambda case: case[0]):
+        news = [i for _, i, _ in run]
+        firsts.append((combo, {i for i in news if i not in seen}))
+        seen.update(news)
+    assert max(len(f) for _, f in firsts) >= 2  # a run with two scored cases
+    assert calls == [combo for combo, f in firsts if f]
 
 
 def set_pairing_values(new_queries, db_queries, d_size, rng, max_cases, exclude_self):
@@ -239,3 +266,46 @@ def outcome(pairings, args):
 @given(faulty_pairing_inputs())
 def test_pairing_values_fail_exactly_like_the_set_formula(args):
     assert outcome(_pairing_values, args) == outcome(set_pairing_values, args)
+
+
+# --- ExperimentReport.to_delimited --------------------------------------------------
+
+def delimited_by_cell(report):
+    """The CSV rule before the row template: each cell on its own."""
+    lines = [",".join(report.columns)]
+    lines += [",".join([f"{v:.6g}" if isinstance(v, float) else str(v) for v in row])
+              for row in report.rows]
+    return "\n".join(lines) + "\n"
+
+
+class Ratio(float):
+    """A float whose ``str`` differs from its ``.6g`` text."""
+
+    def __str__(self):
+        return "ratio"
+
+
+floats = st.floats() | st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf"),
+                                        1e-7, 1e16, 1 / 3])
+cell_kinds = {
+    "str": st.text(max_size=5),
+    "int": st.integers(-10**20, 10**20),
+    "bool": st.booleans(),
+    "Ratio": floats.map(Ratio),
+    "float": floats,
+}
+cell_kinds["mixed"] = st.one_of(*cell_kinds.values())
+
+
+@st.composite
+def reports(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(cell_kinds)), min_size=1, max_size=6))
+    rows = draw(st.lists(st.tuples(*(cell_kinds[k] for k in kinds)), max_size=8))
+    columns = tuple(f"c{j}" for j in range(len(kinds)))
+    return ExperimentReport("t", columns, rows, [0.0] * len(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(reports())
+def test_delimited_is_each_cell_rendered_on_its_own(report):
+    assert report.to_delimited() == delimited_by_cell(report)
