@@ -42,7 +42,6 @@ from .geometry import (
     DramGeometry,
     ProbeConfig,
     canonical_mapping,
-    dram_to_phys,
     phys_to_dram,
     recover_bank_functions,
     timing_threshold,

@@ -162,7 +162,7 @@ def cmd_enroll(args) -> int:
         dataset = registry.load_dataset(directory)
     else:
         dataset = registry.FingerprintDataset(fp.challenge_hash)
-    dev_id = args.id or registry.generate_new_id(dataset)
+    dev_id = args.id if args.id is not None else registry.generate_new_id(dataset)
     registry.enroll(dataset, dev_id, fp)
     registry.save_dataset(dataset, directory)
     print(f"enrolled {dev_id} "

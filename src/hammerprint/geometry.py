@@ -24,7 +24,7 @@ class GeometryError(ValueError):
 
 
 class MappingError(ValueError):
-    """Mapping inconsistent with the geometry or not invertible."""
+    """Mapping malformed or inconsistent with the geometry."""
 
 
 class RecoveryError(RuntimeError):
@@ -131,16 +131,13 @@ class _Layout(NamedTuple):
     row_mask: int
     column_shift: int
     column_mask: int
-    free_masks: tuple[int, ...] | None  # bank functions off the row/column bits; None if dependent
 
 
 def check_consistent(mapping: AddressMapping, geom: DramGeometry) -> _Layout:
     """Check the pair on first use, then keep and return its layout.
 
     Raises MappingError unless mapping sizes agree with the geometry; a
-    failing pair stores nothing, so it raises on every call. A pair that
-    ``dram_to_phys`` cannot invert still passes and keeps its layout,
-    with ``free_masks`` None, so ``phys_to_dram`` works on it.
+    failing pair stores nothing, so it raises on every call.
     """
     layout = mapping._layouts.get(geom)
     if layout is not None:
@@ -159,20 +156,17 @@ def check_consistent(mapping: AddressMapping, geom: DramGeometry) -> _Layout:
         raise MappingError("bank function mask exceeds address_bits")
     row_shift, row_mask = mapping.row_bits[0], geom.rows_per_bank - 1
     column_shift, column_mask = mapping.column_bits[0], geom.columns_per_row - 1
-    known_region = (row_mask << row_shift) | (column_mask << column_shift)
-    free_masks = tuple(f & ~known_region for f in mapping.bank_functions)
     layout = mapping._layouts[geom] = _Layout(
         tuple(enumerate(mapping.bank_functions)), row_shift, row_mask,
-        column_shift, column_mask,
-        free_masks if gf2.rank(free_masks) == len(free_masks) else None)
+        column_shift, column_mask)
     return layout
 
 
 def canonical_mapping(geom: DramGeometry) -> AddressMapping:
     """Controller-style layout: column low, bank home bits, then row.
 
-    Bank function i is its home bit XOR row bit i, so the system is
-    always invertible and every function touches the row range.
+    Bank function i is its home bit XOR row bit i, so every function
+    touches the row range.
     """
     cb, bb, rb = geom.column_bits, geom.bank_bits, geom.row_bits
     if bb > rb:
@@ -190,32 +184,11 @@ def phys_to_dram(addr: int, mapping: AddressMapping, geom: DramGeometry) -> Dram
     """
     if not 0 <= addr < geom.address_space:
         raise GeometryError(f"address {addr:#x} outside {geom.address_bits}-bit space")
-    funcs, row_shift, row_mask, col_shift, col_mask, _ = check_consistent(mapping, geom)
+    funcs, row_shift, row_mask, col_shift, col_mask = check_consistent(mapping, geom)
     bank = 0
     for i, f in funcs:
-        bank |= ((addr & f).bit_count() & 1) << i  # gf2.parity, inlined on this hot path
+        bank |= ((addr & f).bit_count() & 1) << i
     return DramAddress(bank, (addr >> row_shift) & row_mask, (addr >> col_shift) & col_mask)
-
-
-def dram_to_phys(da: DramAddress, mapping: AddressMapping, geom: DramGeometry) -> int:
-    """Smallest physical address resolving to ``da``.
-
-    Row and column bits are placed directly; the remaining bits are the
-    minimum-value GF(2) solution of the bank parity constraints. Raises
-    MappingError when the constraints restricted to the free bits are
-    linearly dependent (no unique bank coordinate reachable).
-    """
-    funcs, row_shift, _, col_shift, _, free_masks = check_consistent(mapping, geom)
-    if not (0 <= da.bank < geom.banks and 0 <= da.row < geom.rows_per_bank
-            and 0 <= da.column < geom.columns_per_row):
-        raise GeometryError(f"DRAM address {da} outside geometry bounds")
-    if free_masks is None:  # decided once per pair in check_consistent
-        raise MappingError("mapping not invertible: bank functions collapse outside row/column bits")
-    known = (da.row << row_shift) | (da.column << col_shift)
-    rhs = [((da.bank >> i) & 1) ^ gf2.parity(f & known) for i, f in funcs]
-    x = gf2.solve(free_masks, rhs)
-    assert x is not None  # independent rows are always consistent
-    return known | x
 
 
 def encode_mapping(mapping: AddressMapping) -> str:

@@ -3,11 +3,6 @@
 from __future__ import annotations
 
 
-def parity(x: int) -> int:
-    """Parity of the set bits of x."""
-    return x.bit_count() & 1
-
-
 def rref(rows: list[int]) -> list[int]:
     """Reduced row echelon basis of the span of ``rows``.
 
@@ -39,7 +34,7 @@ def row_space_equal(a: list[int], b: list[int]) -> bool:
 
 
 def null_space(rows: list[int], n_bits: int) -> list[int]:
-    """Canonical basis of {x : parity(x & r) = 0 for all r in rows}.
+    """Canonical basis of {x : x & r has even popcount for all r in rows}.
 
     Treats each row as a linear functional over n_bits variables.
     """
@@ -56,23 +51,3 @@ def null_space(rows: list[int], n_bits: int) -> list[int]:
                 vec |= 1 << p
         basis.append(vec)
     return rref(basis)
-
-
-def solve(rows: list[int], rhs: list[int]) -> int | None:
-    """Minimum-value x with parity(x & rows[i]) = rhs[i] for all i.
-
-    Returns None when the system is inconsistent. Each rhs bit rides in
-    a column above every row bit, so a basis row of the augmented rref
-    whose pivot is that column reads 0 = 1. With pivots at lowest bit
-    indices and free variables forced to zero, x is the smallest
-    solution: any other differs by a null vector whose highest bit lands
-    on a free column.
-    """
-    one = 1 << max(rows, default=0).bit_length()
-    x = 0
-    for row in rref([row | (one if r else 0) for row, r in zip(rows, rhs)]):
-        if row == one:
-            return None
-        if row & one:
-            x |= row & -row
-    return x

@@ -9,7 +9,7 @@ from hammerprint.simdevice import new_sim_device
 
 @pytest.fixture
 def toy_geom():
-    """Small geometry: 8 banks, 256 rows, 256-byte rows, 16-bit addresses."""
+    """Small geometry: 8 banks, 256 rows, 256-byte rows, 20-bit addresses."""
     return DramGeometry(banks=8, rows_per_bank=256, columns_per_row=256, address_bits=20)
 
 
@@ -23,16 +23,16 @@ def toy_device(toy_geom, toy_mapping):
     return new_sim_device(111, 222, geom=toy_geom, mapping=toy_mapping)
 
 
-def random_mapping(geom: DramGeometry, rng: random.Random,
-                   max_extra_bits: int = 3) -> AddressMapping:
-    """Invertible mapping with small XOR supports: one home bit per bank
-    function plus up to ``max_extra_bits`` row bits."""
+def random_mapping(geom: DramGeometry, rng: random.Random) -> AddressMapping:
+    """Mapping in the canonical layout (column low, bank home bits, then
+    row) whose bank function i is home bit i XOR one to three random row
+    bits."""
     cb, bb, rb = geom.column_bits, geom.bank_bits, geom.row_bits
     row_lo = cb + bb
     funcs = []
     for i in range(bb):
         mask = 1 << (cb + i)
-        for e in rng.sample(range(rb), rng.randint(1, max_extra_bits)):
+        for e in rng.sample(range(rb), rng.randint(1, 3)):
             mask |= 1 << (row_lo + e)
         funcs.append(mask)
     return AddressMapping(tuple(funcs), (row_lo, row_lo + rb), (0, cb))

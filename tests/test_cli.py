@@ -273,12 +273,14 @@ class TestEnrollIdentify:
     def test_id_that_is_a_path_is_usage_error(self, tmp_path, device_profile, capsys):
         ds = tmp_path / "ds"
         fp_path = write_fingerprint(tmp_path, device_profile, "q.fp", 12)
-        # on a fresh dataset this id would take the meta file's name
-        assert cli.main(["--dataset", str(ds), "enroll", str(fp_path),
-                         "--id", "dataset.meta"]) == cli.EXIT_USAGE
-        assert not (ds / "dataset.meta").exists()
+        # on a fresh dataset "dataset.meta" would take the meta file's name,
+        # and an empty id must be refused, not replaced by a minted one
+        for bad in ("dataset.meta", ""):
+            assert cli.main(["--dataset", str(ds), "enroll", str(fp_path),
+                             "--id", bad]) == cli.EXIT_USAGE
+            assert not ds.exists() or not any(ds.iterdir())
         assert cli.main(["--dataset", str(ds), "enroll", str(fp_path)]) == 0
-        for bad in ("../escaped", "a/b", "..", ".", "dataset.meta"):
+        for bad in ("../escaped", "a/b", "..", ".", "dataset.meta", ""):
             rc = cli.main(["--dataset", str(ds), "enroll", str(fp_path), "--id", bad])
             assert rc == cli.EXIT_USAGE
         assert not (tmp_path / "escaped").exists()

@@ -6,13 +6,20 @@ below were taken from the reference implementation; a change that has
 to alter them belongs in its own change that says which bytes moved.
 """
 
+import contextlib
 import hashlib
+import io
+import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
 from hammerprint import cli
+from hammerprint.challenge import default_challenge
+from hammerprint.fingerprint import encode_fingerprint
+from hammerprint.simdevice import new_sim_device, run_query
 
 GOLDEN = {
     "reliability_device1.csv":
@@ -45,34 +52,62 @@ def test_default_seed_outputs_are_byte_identical(tmp_path, capsys):
     assert {name: sha256(tmp_path / name) for name in GOLDEN} == GOLDEN
 
 
-# run in a fresh interpreter, so the hash seed is the one the test sets
-GOLDEN_SEQUENCE = """
+# run in a fresh interpreter, so the hash seed is the one the test sets;
+# the last line printed is the golden dataset layout and transcript
+GOLDEN_SEQUENCE = f"""
+import json
+import sys
+from pathlib import Path
+sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+from test_golden_outputs import golden_dataset_and_transcript
 from hammerprint import cli
 assert cli.main(["simulate", "new-device", "--out", "device.prof"]) == 0
 assert cli.main(["fingerprint", "--device", "device.prof", "--out", "query.fp"]) == 0
 assert cli.main(["eval", "reliability", "--out-dir", "."]) == 0
 assert cli.main(["eval", "uniqueness", "--out-dir", "."]) == 0
+assert cli.main(["eval", "tradeoff", "--out-dir", "."]) == 0
+assert cli.main(["reverse-map", "--device", "device.prof", "--out", "mapping.txt"]) == 0
+print(json.dumps(golden_dataset_and_transcript(Path("."))))
 """
 
 
-def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
-    # string hashing and set order change with PYTHONHASHSEED; no output
-    # byte may follow them
+def run_under_hash_seeds(tmp_path, script, stdin=None):
+    """Run ``script`` in fresh interpreters under PYTHONHASHSEED 0 and 4242,
+    each in its own directory, both at once; return [(stdout, directory)].
+
+    String hashing and set order change with the hash seed; no output byte
+    may follow them.
+    """
     src = str(Path(cli.__file__).resolve().parents[1])
-    names = ("device.prof", "query.fp", "reliability_device1.csv", "reliability_device2.csv",
-             "uniqueness.csv")
-    runs = []
+    children = []
     for hash_seed in ("0", "4242"):
         out = tmp_path / hash_seed
         out.mkdir()
         env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", GOLDEN_SEQUENCE], cwd=out, env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        runs.append((done.stdout, {name: sha256(out / name) for name in names}))
+        child = subprocess.Popen([sys.executable, "-c", script], cwd=out, env=env,
+                                 stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE)
+        children.append((child, out))
+    runs = []
+    for child, out in children:
+        stdout, stderr = child.communicate(stdin, timeout=60)
+        assert child.returncode == 0, stderr.decode()
+        runs.append((stdout.decode(), out))
+    return runs
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    names = ("device.prof", "query.fp", "reliability_device1.csv", "reliability_device2.csv",
+             "uniqueness.csv", "tradeoff.csv", "mapping.txt")
+    runs = [(stdout, {name: sha256(out / name) for name in names})
+            for stdout, out in run_under_hash_seeds(tmp_path, GOLDEN_SEQUENCE)]
     assert runs[0] == runs[1]
-    assert runs[0][1] == {name: {**GOLDEN, **GOLDEN_REPORTS}[name] for name in names}
+    stdout, hashes = runs[0]
+    assert hashes == {name: {**GOLDEN, **GOLDEN_REPORTS}[name] for name in names}
+    layout, transcript = json.loads(stdout.splitlines()[-1])
+    assert layout == GOLDEN_DATASET
+    assert [tuple(step) for step in transcript] == GOLDEN_TRANSCRIPT
 
 
 GOLDEN_REPORTS = {
@@ -121,25 +156,52 @@ GOLDEN_TRANSCRIPT = [
 ]
 
 
-def test_default_seed_dataset_and_decisions_are_byte_identical(tmp_path, capsys):
-    dataset = tmp_path / "dataset"
+def golden_dataset_and_transcript(workdir: Path):
+    """Make the five queries in ``workdir``, then run the enrolls and
+    identifies of GOLDEN_TRANSCRIPT; return (dataset layout, transcript)."""
+    dataset = workdir / "dataset"
     # three devices; device a is queried under three measurement seeds
     queries = {"a": ([], []), "a2": ([], ["--seed", "2"]), "a3": ([], ["--seed", "3"]),
                "b": (["--dimm-seed", "0xb1", "--host-seed", "0xb2"], []),
                "c": (["--dimm-seed", "0xc1", "--host-seed", "0xc2"], [])}
-    for name, (device_seeds, query_seed) in queries.items():
-        prof = tmp_path / f"{name[0]}.prof"
-        assert cli.main(["simulate", "new-device", "--out", str(prof), *device_seeds]) == 0
-        assert cli.main([*query_seed, "fingerprint", "--device", str(prof),
-                         "--out", str(tmp_path / f"{name}.fp")]) == 0
-    capsys.readouterr()
+    with contextlib.redirect_stdout(io.StringIO()):
+        for name, (device_seeds, query_seed) in queries.items():
+            prof = workdir / f"{name[0]}.prof"
+            assert cli.main(["simulate", "new-device", "--out", str(prof), *device_seeds]) == 0
+            assert cli.main([*query_seed, "fingerprint", "--device", str(prof),
+                             "--out", str(workdir / f"{name}.fp")]) == 0
     transcript = []
-    for argv in (["enroll", "a.fp"], ["enroll", "b.fp"], ["enroll", "a2.fp", "--id", "dev-1"],
-                 ["identify", "a3.fp"], ["identify", "c.fp"]):
-        code = cli.main(["--dataset", str(dataset), argv[0], str(tmp_path / argv[1]),
-                         *argv[2:]])
-        transcript.append((argv, code, capsys.readouterr().out))
+    for argv, _, _ in GOLDEN_TRANSCRIPT:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(["--dataset", str(dataset), argv[0], str(workdir / argv[1]),
+                             *argv[2:]])
+        transcript.append((argv, code, out.getvalue()))
     layout = {p.relative_to(dataset).as_posix(): sha256(p)
               for p in sorted(dataset.rglob("*")) if p.is_file()}
-    assert layout == GOLDEN_DATASET
-    assert transcript == GOLDEN_TRANSCRIPT
+    return layout, transcript
+
+
+def test_default_seed_dataset_and_decisions_are_byte_identical(tmp_path):
+    assert golden_dataset_and_transcript(tmp_path) == (GOLDEN_DATASET, GOLDEN_TRANSCRIPT)
+
+
+# a device pickled in one process answers a query in another with the
+# same bytes; its kept rows and layout travel with it
+QUERY_PICKLED_DEVICE = """
+import pickle
+import sys
+from hammerprint.challenge import default_challenge
+from hammerprint.fingerprint import encode_fingerprint
+from hammerprint.simdevice import run_query
+dev = pickle.loads(sys.stdin.buffer.read())
+sys.stdout.write(encode_fingerprint(run_query(dev, default_challenge(), 2)))
+"""
+
+
+def test_pickled_warm_device_gives_the_same_fingerprint_in_a_child(tmp_path):
+    dev = new_sim_device(0xd1, 0xd2)
+    run_query(dev, default_challenge(), 1)  # warm: rows drawn and kept
+    want = encode_fingerprint(run_query(dev, default_challenge(), 2))
+    blob = pickle.dumps(dev)
+    for stdout, _ in run_under_hash_seeds(tmp_path, QUERY_PICKLED_DEVICE, blob):
+        assert stdout == want
