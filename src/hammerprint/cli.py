@@ -38,7 +38,7 @@ def main(argv: list[str] | None = None) -> int:
     except geometry.RecoveryError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RECOVERY_FAILURE
-    except (OSError, registry.DatasetError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -100,14 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_device(path: str) -> simdevice.SimDevice:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return simdevice.parse_device(fh.read())
 
 
 def _load_challenge(path: str | None) -> challenge_mod.DramChallenge:
     if path is None:
         return challenge_mod.default_challenge()
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return challenge_mod.parse_challenge(fh.read())
 
 
@@ -131,7 +131,7 @@ def cmd_fingerprint(args) -> int:
         return EXIT_CHALLENGE_MISMATCH
     fp = simdevice.run_query(dev, ch, args.seed, query_time=args.timestamp)
     text = encode_fingerprint(fp)  # may refuse the header; nothing written then
-    with open(args.out, "w") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
     print(f"wrote {args.out}: {len(fp.locations)} bit flips")
     if not fp.locations:
@@ -144,7 +144,7 @@ def cmd_fingerprint(args) -> int:
 
 def cmd_identify(args) -> int:
     dataset = registry.load_dataset(_dataset_dir(args))
-    with open(args.fingerprint) as fh:
+    with open(args.fingerprint, encoding="utf-8") as fh:
         fp = decode_fingerprint(fh.read())
     result = registry.identify(dataset, fp, args.threshold)
     if result.decision == "matched":
@@ -156,7 +156,7 @@ def cmd_identify(args) -> int:
 
 def cmd_enroll(args) -> int:
     directory = _dataset_dir(args)
-    with open(args.fingerprint) as fh:
+    with open(args.fingerprint, encoding="utf-8") as fh:
         fp = decode_fingerprint(fh.read())
     if os.path.exists(os.path.join(directory, registry.META_NAME)):
         dataset = registry.load_dataset(directory)
@@ -190,7 +190,7 @@ def cmd_eval(args) -> int:
 
 
 def _write_file(args, name: str, text: str) -> None:
-    with open(os.path.join(args.out_dir, name), "w") as fh:
+    with open(os.path.join(args.out_dir, name), "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
@@ -257,7 +257,7 @@ def cmd_reverse_map(args) -> int:
     recovered = geometry.AddressMapping(tuple(funcs),
                                         dev.mapping.row_bits,
                                         dev.mapping.column_bits)
-    with open(args.out, "w") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(geometry.encode_mapping(recovered))
     match = gf2.row_space_equal(list(funcs), list(dev.mapping.bank_functions))
     print(f"wrote {args.out}: {len(funcs)} bank functions, "
@@ -271,7 +271,7 @@ def cmd_new_device(args) -> int:
     host = args.host_seed if args.host_seed is not None else rng.getrandbits(64)
     dev = simdevice.new_sim_device(dimm, host)
     dev.device_key  # refuses a seed the PRF cannot encode before --out is opened
-    with open(args.out, "w") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(simdevice.encode_device(dev))
     print(f"wrote {args.out}: dimm_seed={dimm:#x} host_seed={host:#x}")
     return EXIT_OK

@@ -167,7 +167,7 @@ def identify(dataset: FingerprintDataset, f_u: Fingerprint,
     caller decides whether to enroll it).
     """
     if not 0.0 < threshold < 1.0:
-        raise DatasetError("match_threshold must lie in (0, 1)")
+        raise DatasetError("threshold must lie in (0, 1)")
     if not f_u.locations:
         raise FingerprintError("cannot identify an empty fingerprint")
     if f_u.challenge_hash != dataset.challenge_hash:
@@ -219,7 +219,7 @@ def _write_atomic(path: str, content: str) -> None:
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(content)
         os.replace(tmp, path)
     finally:
@@ -243,7 +243,7 @@ def load_dataset(directory: str) -> FingerprintDataset:
     meta_path = os.path.join(directory, META_NAME)
     if not os.path.exists(meta_path):
         raise DatasetError(f"no dataset at {directory!r} (missing {META_NAME})")
-    with open(meta_path) as fh:
+    with open(meta_path, encoding="utf-8") as fh:
         meta = read_profile(fh.read(), DatasetError, META_NAME, single=("challenge", "id_counter"))
     if not meta.get("challenge"):
         raise DatasetError("dataset.meta lacks a challenge hash")
@@ -269,7 +269,7 @@ def load_dataset(directory: str) -> FingerprintDataset:
                     f"{dev_id!r} holds {sorted(names)}, not 1.fp..{len(names)}.fp")
             fps = []
             for name in expected:
-                with open(os.path.join(dev_dir, name)) as fh:
+                with open(os.path.join(dev_dir, name), encoding="utf-8") as fh:
                     fps.append(decode_fingerprint(fh.read()))
             for fp in fps:
                 if fp.challenge_hash != dataset.challenge_hash:

@@ -26,7 +26,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, fields, replace
-from functools import cache, cached_property
+from functools import cached_property
 from typing import NamedTuple
 
 from .challenge import DramChallenge, victim_rows
@@ -265,36 +265,49 @@ def trr_neutralizes(dev: SimDevice, ch: DramChallenge) -> bool:
     return len(set(ch.pattern.aggressor_offsets)) <= dev.trr.sampler_size
 
 
-def _query_rows(dev: SimDevice, ch: DramChallenge, measurement_seed: int):
-    """What ``hammer`` and ``run_query`` share before their measurement
-    streams: the rows that can flip, and the means to draw their streams.
+def _flip_streams(dev: SimDevice, ch: DramChallenge, measurement_seed: int):
+    """Walk the measurement streams of every victim row that can flip.
 
-    Validates the challenge, then returns ``(rows, meas_state, reseed,
-    draw)``. ``rows`` lists ``(bank, row, eligible, active)`` for each
-    victim row with at least one active eligible cell (none when TRR
-    neutralizes the pattern). ``meas_state(t, bank)`` is the ``meas`` + t
-    + bank PRF state, built on first use, so a stream's seed is
-    ``_prf(row, prefix=meas_state(t, bank))``. ``reseed`` and ``draw``
-    drive one generator through the C-level seed that ``Random(x)``
-    itself ends in, so each stream's ``random()`` values are those of
-    ``Random(x)``.
+    Validates the challenge, then yields ``(n_active, streams)`` for each
+    victim row with at least one active eligible cell, banks in
+    ``bank_range`` order and rows ascending (nothing when TRR neutralizes
+    the pattern). ``streams`` lazily gives, for measurement ``t = 0, 1,
+    …``, the list of the row's active locations that flip in ``t``;
+    ``n_active`` counts those locations.
+
+    Every stream is seeded from its own (tag, t, bank, row) PRF input, so
+    a stream that is never drawn moves no other draw. The ``act`` + bank
+    and ``meas`` + t + bank PRF states are built once per call, the latter
+    on first use, so a stream's seed absorbs only its row. One generator
+    serves every stream, reseeded through the C-level seed that
+    ``Random(x)`` itself ends in, so each stream's ``random()`` values are
+    those of ``Random(x)``; a stream is drawn in full before it is yielded.
     """
     ch.validate_for(dev.geom)
+    if trr_neutralizes(dev, ch):
+        return
     rng = random.Random()
     reseed = super(random.Random, rng).seed
     draw = rng.random
+    key = dev.device_key
+    p_flip = dev.noise.p_flip_given_susceptible
+    meas_states = {}
 
-    @cache
-    def meas_state(t: int, bank: int):
-        return _prf_prefix("meas", dev.device_key, measurement_seed, t, bank)
+    def streams(bank, row, eligible, active):
+        for t in range(ch.measurements):
+            state = meas_states.get((t, bank))
+            if state is None:
+                state = meas_states[t, bank] = _prf_prefix("meas", key, measurement_seed, t, bank)
+            reseed(_prf(row, prefix=state))
+            # every eligible cell draws, active or not, so each draw
+            # stays tied to its cell
+            yield [cell.location for cell, act in zip(eligible, active)
+                   if draw() < p_flip and act]
 
-    rows = []
-    if trr_neutralizes(dev, ch):
-        return rows, meas_state, reseed, draw
     victims = victim_rows(ch.pattern)
     activation = dev.noise.marginal_activation
     victim_value = ch.data.victim_value
-    act_prefix = _prf_prefix("act", dev.device_key, measurement_seed)
+    act_prefix = _prf_prefix("act", key, measurement_seed)
     for bank in ch.bank_range:
         act_bank = _prf_prefix(bank, prefix=act_prefix)
         for row in victims:
@@ -306,9 +319,9 @@ def _query_rows(dev: SimDevice, ch: DramChallenge, measurement_seed: int):
                 continue
             reseed(_prf(row, prefix=act_bank))
             active = [not c.marginal or draw() < activation for c in eligible]
-            if any(active):
-                rows.append((bank, row, eligible, active))
-    return rows, meas_state, reseed, draw
+            n_active = active.count(True)
+            if n_active:
+                yield n_active, streams(bank, row, eligible, active)
 
 
 def hammer(dev: SimDevice, ch: DramChallenge, measurement_seed: int) -> list[set[FlipLocation]]:
@@ -320,29 +333,14 @@ def hammer(dev: SimDevice, ch: DramChallenge, measurement_seed: int) -> list[set
     from (device key, measurement_seed), so identical calls agree bit for
     bit.
 
-    Every random stream is seeded from its own (tag, t, bank, row) PRF
-    input, so skipping one moves no other draw. A row with no eligible
-    cell, or with no active one, skips its per-measurement streams: they
-    could not flip anything, so the flip sets are the same as if they
-    were drawn. Every other row draws all of its measurement streams;
+    The streams come from ``_flip_streams``, which skips rows that could
+    flip nothing; every other row's streams are all drawn here, while
     ``run_query``, which needs only their union, stops earlier.
-
-    The PRF states up to the row are built once per call: ``act`` + bank
-    for each bank and ``meas`` + t + bank for each (measurement, bank)
-    that a row draws, so a stream's seed absorbs only its row. One
-    generator serves every stream (``_query_rows``).
     """
-    rows, meas_state, reseed, draw = _query_rows(dev, ch, measurement_seed)
     results: list[set[FlipLocation]] = [set() for _ in range(ch.measurements)]
-    p_flip = dev.noise.p_flip_given_susceptible
-    for bank, row, eligible, active in rows:
-        for t, flips in enumerate(results):
-            reseed(_prf(row, prefix=meas_state(t, bank)))
-            # every eligible cell draws, active or not, so each draw
-            # stays tied to its cell
-            for cell, act in zip(eligible, active):
-                if draw() < p_flip and act:
-                    flips.add(cell.location)
+    for _, streams in _flip_streams(dev, ch, measurement_seed):
+        for flips, locations in zip(results, streams):
+            flips.update(locations)
     return results
 
 
@@ -354,23 +352,18 @@ def run_query(dev: SimDevice, ch: DramChallenge, measurement_seed: int,
     The fingerprint is the union of ``hammer``'s flip sets, and this draws
     only what the union needs: a row's measurement streams ``t = 0, 1, …``
     until each of its active cells has flipped once, then the next row.
-    Each stream is seeded from its own (t, bank, row) PRF input and draws
-    every eligible cell in order, so a skipped stream moves no other draw;
-    it could only have flipped cells already in the union, so the
-    locations are the same set ``hammer`` gives.
+    A stream that is not drawn moves no other draw (``_flip_streams``) and
+    could only have flipped cells already in the union, so the locations
+    are the same set ``hammer`` gives.
     """
-    rows, meas_state, reseed, draw = _query_rows(dev, ch, measurement_seed)
     union: set[FlipLocation] = set()
-    p_flip = dev.noise.p_flip_given_susceptible
-    for bank, row, eligible, active in rows:
-        waiting = active.count(True)
-        for t in range(ch.measurements):
-            reseed(_prf(row, prefix=meas_state(t, bank)))
-            for cell, act in zip(eligible, active):
-                if draw() < p_flip and act and cell.location not in union:
-                    union.add(cell.location)
-                    waiting -= 1
-            if not waiting:
+    for n_active, streams in _flip_streams(dev, ch, measurement_seed):
+        # rows share no location, so the row is done once the union has
+        # grown by its active count
+        goal = len(union) + n_active
+        for locations in streams:
+            union.update(locations)
+            if len(union) == goal:
                 break
     return from_measurements([union], challenge_mod.challenge_hash(ch),
                              device_hint=device_hint, query_time=query_time)

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,13 +15,14 @@ from hammerprint.challenge import (
     default_challenge,
     encode_challenge,
 )
-from hammerprint.fingerprint import decode_fingerprint
+from hammerprint.fingerprint import decode_fingerprint, encode_fingerprint
 from hammerprint.geometry import parse_mapping
 from hammerprint.simdevice import (
     NoiseConfig,
     encode_device,
     new_sim_device,
     parse_device,
+    run_query,
 )
 
 
@@ -316,13 +320,17 @@ class TestEnrollIdentify:
         assert cli.main(["--dataset", str(ds), "enroll", str(fp_path)]) == 0
         assert "enrolled dev-2 (k=1" in capsys.readouterr().out
 
-    def test_threshold_outside_unit_interval_is_usage_error(self, tmp_path, device_profile):
+    def test_threshold_outside_unit_interval_is_usage_error(self, tmp_path, device_profile,
+                                                             capsys):
         ds = str(tmp_path / "ds")
         fp_path = write_fingerprint(tmp_path, device_profile, "q.fp", 14)
         assert cli.main(["--dataset", ds, "enroll", str(fp_path)]) == 0
         for threshold in ("0", "1.5"):
+            capsys.readouterr()
             rc = cli.main(["--dataset", ds, "identify", str(fp_path), "--threshold", threshold])
             assert rc == cli.EXIT_USAGE
+            # the message names the option the caller passed
+            assert capsys.readouterr().err == "error: threshold must lie in (0, 1)\n"
 
     def test_repeated_challenge_header_is_usage_error(self, tmp_path, device_profile, capsys):
         ds = str(tmp_path / "ds")
@@ -468,3 +476,31 @@ def test_exit_codes_match_readme_and_docstring():
     assert sorted(int(c) for c in re.findall(r"`(\d+)`", listed)) == codes
     documented = cli.__doc__.split("Exit codes:", 1)[1].split("\n\n", 1)[0]
     assert sorted(int(c) for c in re.findall(r"\b(\d+) [a-z]", documented)) == codes
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    # enroll and identify a fingerprint whose header is not ASCII, once
+    # under the C locale with UTF-8 mode off and once in UTF-8 mode; a text
+    # open that leaves its encoding to the locale raises EncodingWarning,
+    # made an error here, and cannot decode the header under the C locale
+    fp_path = tmp_path / "q.fp"
+    fp = run_query(new_sim_device(1, 2), default_challenge(), 3, device_hint="café")
+    fp_path.write_bytes(encode_fingerprint(fp).encode("utf-8"))
+    assert b"hint=caf\xc3\xa9\n" in fp_path.read_bytes()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    datasets = []
+    for mode in ({"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+                 {"PYTHONUTF8": "1"}):
+        ds = tmp_path / f"ds-{len(datasets)}"
+        env = dict(os.environ, PYTHONWARNDEFAULTENCODING="1", **mode,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for command in ("enroll", "identify"):
+            child = subprocess.run(
+                [sys.executable, "-W", "error::EncodingWarning", "-m", "hammerprint.cli",
+                 "--dataset", str(ds), command, str(fp_path)],
+                env=env, capture_output=True, timeout=60)
+            assert child.returncode == cli.EXIT_OK, child.stderr.decode()
+        datasets.append({str(path.relative_to(ds)): path.read_bytes()
+                         for path in ds.rglob("*") if path.is_file()})
+    assert datasets[0] == datasets[1]
+    assert datasets[0]["dev-1/1.fp"] == fp_path.read_bytes()

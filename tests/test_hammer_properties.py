@@ -13,7 +13,9 @@ flip, must give the same flip sets with no more PRF calls.
 derivation in full and builds every cell with the checked constructors.
 
 ``run_query`` stops a row's streams once every active cell has flipped,
-so it is held to the union of ``hammer``'s sets, with no more PRF calls.
+so it is held to the union of ``hammer``'s sets, with no more PRF calls,
+and to the same PRF calls however many measurements follow the last one
+it needs.
 """
 
 import hashlib
@@ -31,6 +33,7 @@ from hammerprint.challenge import (
     PatternKind,
     build_pattern,
     challenge_hash,
+    default_challenge,
     victim_rows,
 )
 from hammerprint.fingerprint import FlipLocation, from_measurements
@@ -101,13 +104,17 @@ def reference_hammer(dev, ch, measurement_seed, prf):
 
 
 @contextmanager
-def counting_prf():
-    """Count ``simdevice._prf`` calls; yields the counter and the counted PRF."""
+def counting_prf(limit=None):
+    """Count ``simdevice._prf`` calls; yields the counter and the counted PRF.
+
+    With a ``limit``, the call after that many raises AssertionError.
+    """
     calls = [0]
     real = sd._prf
 
     def counted(*parts, **kwargs):
         calls[0] += 1
+        assert limit is None or calls[0] <= limit, f"more than {limit} _prf calls"
         return real(*parts, **kwargs)
 
     def counted_reference(*parts):
@@ -262,3 +269,18 @@ def test_warm_device_matches_fresh_devices(case, data):
     with pytest.raises(GeometryError):
         warm.susceptible_cells(bank, row)
     assert warm._row_cells == cached
+
+
+@pytest.mark.parametrize("noise, enough", [(sd.deterministic_noise(), 1), (None, 1000)])
+def test_run_query_draws_streams_lazily(noise, enough):
+    # a row's streams stop once its active cells have all flipped, so a
+    # million measurements draw no more streams than ``enough`` do; the
+    # call limit makes a walker that draws its streams up front fail fast
+    got = []
+    for measurements in (enough, 10**6):
+        ch = default_challenge().with_measurements(measurements)
+        with counting_prf(limit=10**5) as (calls, _):
+            fp = sd.run_query(sd.new_sim_device(5, 6, noise=noise), ch, 7)
+        got.append((fp.locations, calls[0]))
+    assert got[0] == got[1]
+    assert got[0][0]

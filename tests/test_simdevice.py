@@ -10,7 +10,7 @@ import pytest
 from conftest import small_challenge
 from hammerprint.challenge import PatternKind, default_challenge, victim_rows
 from hammerprint.fingerprint import FlipLocation, encode_fingerprint, union_of
-from hammerprint.geometry import GeometryError, phys_to_dram
+from hammerprint.geometry import DramGeometry, GeometryError, phys_to_dram
 from hammerprint.simdevice import (
     BASE_LATENCY,
     DeviceError,
@@ -198,6 +198,31 @@ class TestAccessTime:
     def test_address_validation(self, toy_device):
         with pytest.raises(GeometryError):
             access_time(toy_device, toy_device.geom.address_space, 0, 1)
+
+    # (geometry, a, b, rng_seed, latency repr): a conflict pair (same bank,
+    # rows 0 and 1) and a non-conflict pair on the default and the 64-bank
+    # geometry; recovery only thresholds latencies, so nothing else sees
+    # the noise stream float for float
+    PINNED = (
+        (None, 0x1234, 0x1101234, 3, "192.6413366995794"),
+        (None, 0x1234, 0x1101234, 4, "185.94119711464526"),
+        (None, 0x1234, 0x5678, 3, "92.5506456310166"),
+        (None, 0x1234, 0x5678, 4, "94.50946227517834"),
+        (64, 0x2345, 0x12745, 3, "207.69875949956455"),
+        (64, 0x2345, 0x12745, 4, "214.91607969928094"),
+        (64, 0x2345, 0x2355, 3, "112.95762522164523"),
+        (64, 0x2345, 0x2355, 4, "84.52313038130936"),
+    )
+
+    @pytest.mark.parametrize("banks, a, b, rng_seed, want", PINNED)
+    def test_noise_draws_are_pinned(self, banks, a, b, rng_seed, want):
+        if banks is None:
+            dev = new_sim_device(1, 2)
+        else:
+            geom = DramGeometry(banks=banks, rows_per_bank=1024, columns_per_row=1024,
+                                address_bits=26)
+            dev = new_sim_device(5, 6, geom=geom)
+        assert repr(access_time(dev, a, b, rng_seed)) == want
 
 
 class TestTrr:
