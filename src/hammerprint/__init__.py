@@ -4,6 +4,7 @@ Modules:
 
 * ``geometry``: DRAM geometry, linear address mapping, and bank-function
   recovery from row-buffer-conflict timing.
+* ``gf2``: bitmask linear algebra over GF(2): rref, rank, null space.
 * ``challenge``: hammering patterns, data patterns, the reference
   challenge, and challenge hashing.
 * ``simdevice``: seeded virtual DRAM device producing timings and flips.
@@ -13,60 +14,14 @@ Modules:
   and measurement-tradeoff experiments.
 * ``codec``: the ``key=value`` line codec shared by the profile texts.
 * ``cli``: the ``hammerprint`` command.
+
+Each name is imported from its module, as in
+``from hammerprint.registry import identify``; the package itself
+re-exports none. ``import hammerprint`` still loads the library modules
+above except ``evalharness`` and ``cli``, so ``hammerprint.registry`` is
+bound after it.
 """
 
-from .challenge import (
-    DataPattern,
-    DramChallenge,
-    HammerPattern,
-    PatternKind,
-    build_pattern,
-    challenge_hash,
-    default_challenge,
-    victim_rows,
-)
-from .fingerprint import (
-    ChallengeMismatchError,
-    Fingerprint,
-    FlipLocation,
-    decode_fingerprint,
-    encode_fingerprint,
-    from_measurements,
-    jaccard,
-    jaccard_prime,
-    union_of,
-)
-from .geometry import (
-    AddressMapping,
-    DramAddress,
-    DramGeometry,
-    ProbeConfig,
-    canonical_mapping,
-    phys_to_dram,
-    recover_bank_functions,
-    timing_threshold,
-)
-from .registry import (
-    DeviceRecord,
-    FingerprintDataset,
-    IdentifyResult,
-    enroll,
-    fingerprint_match,
-    generate_new_id,
-    get_similarity,
-    identify,
-    load_dataset,
-    save_dataset,
-)
-from .simdevice import (
-    NoiseConfig,
-    SimDevice,
-    TrrConfig,
-    access_time,
-    default_geometry,
-    hammer,
-    new_sim_device,
-    run_query,
-)
+from . import challenge, codec, fingerprint, geometry, gf2, registry, simdevice
 
 __version__ = "0.1.0"

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import gc
 import os
+import re
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -207,12 +208,16 @@ def enroll(dataset: FingerprintDataset, dev_id: str, fp: Fingerprint) -> Fingerp
 #
 # Layout: <dir>/dataset.meta plus one fingerprint file per enrolled entry,
 # <dir>/<id>/<k>.fp with k = 1..n in enroll order. Loading reads exactly
-# those names and refuses any other .fp name or a gap. Each file lands via
+# those names and refuses any other .fp name or a gap. A save also removes
+# each <k>.fp it did not write, past a record's count or under a device the
+# dataset no longer holds, highest k first, so the loader never meets a
+# gap; other names (notes.fp, 0.fp, 01.fp) stay. Each file lands via
 # write-temp-then-rename, so each file is replaced atomically. A whole save
 # is not: an interrupted save can leave some files new and others old, and
 # nothing is fsync'd.
 
 META_NAME = "dataset.meta"
+_SAVED_NAME = re.compile(r"([1-9][0-9]*)\.fp")  # the <k>.fp names a save writes
 
 
 def _write_atomic(path: str, content: str) -> None:
@@ -227,7 +232,16 @@ def _write_atomic(path: str, content: str) -> None:
             os.unlink(tmp)
 
 
+def _remove_saved_past(dev_dir: str, count: int) -> None:
+    """Remove each <k>.fp in dev_dir with k above count, highest k first."""
+    ks = [int(m[1]) for m in map(_SAVED_NAME.fullmatch, os.listdir(dev_dir)) if m]
+    for k in sorted((k for k in ks if k > count), reverse=True):
+        os.remove(os.path.join(dev_dir, f"{k}.fp"))
+
+
 def save_dataset(dataset: FingerprintDataset, directory: str) -> None:
+    if not dataset.challenge_hash:  # load_dataset would refuse the meta
+        raise DatasetError("cannot save a dataset without a challenge hash")
     os.makedirs(directory, exist_ok=True)
     meta = f"challenge={dataset.challenge_hash}\nid_counter={_next_index(dataset)}\n"
     for dev_id in sorted(dataset.records):
@@ -236,6 +250,11 @@ def save_dataset(dataset: FingerprintDataset, directory: str) -> None:
         os.makedirs(dev_dir, exist_ok=True)
         for k, fp in enumerate(record.fingerprints, start=1):
             _write_atomic(os.path.join(dev_dir, f"{k}.fp"), encode_fingerprint(fp))
+        _remove_saved_past(dev_dir, len(record.fingerprints))
+    for dev_id in os.listdir(directory):
+        dev_dir = os.path.join(directory, dev_id)
+        if dev_id not in dataset.records and os.path.isdir(dev_dir):
+            _remove_saved_past(dev_dir, 0)
     _write_atomic(os.path.join(directory, META_NAME), meta)
 
 

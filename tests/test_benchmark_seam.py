@@ -1,20 +1,25 @@
-"""The benchmark's tracer patches library names it looks up by string.
+"""The benchmark looks up library names that no library code calls.
 
 ``perfbench/tracing.py`` wraps functions such as ``registry.fingerprint_match``
-and ``simdevice.phys_to_dram`` where they are looked up at call time. If a
-refactor deletes or renames one, a traced benchmark run dies with an
-AttributeError; this test makes that failure show up in the unit suite.
-The file is only read and executed, never imported from its directory, so
-nothing is written next to it.
+and ``simdevice.phys_to_dram`` where they are looked up at call time, and
+``perfbench/workloads.py`` calls names such as ``simdevice.make_timing_oracle``
+through their modules. If a refactor deletes or renames one, a benchmark
+run dies with an AttributeError; these tests make that failure show up in
+the unit suite. The files are only read, parsed and executed, never
+imported from their directory, so nothing is written next to them.
 """
 
+import ast
+import importlib
 import types
 from pathlib import Path
 
 from hammerprint import evalharness, registry, simdevice
 from hammerprint.challenge import challenge_hash, default_challenge
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def load_tracing() -> types.ModuleType:
@@ -22,6 +27,22 @@ def load_tracing() -> types.ModuleType:
     module.__file__ = str(TRACING)
     exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
     return module
+
+
+def test_workloads_library_lookups_exist():
+    # every <module>.<name> that workloads.py looks up on a hammerprint
+    # module it imports, such as simdevice.SUPPORT_BLOCK
+    tree = ast.parse(WORKLOADS.read_text(), str(WORKLOADS))
+    modules = {a.asname or a.name: a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "hammerprint"
+               for a in node.names}
+    lookups = {(modules[node.value.id], node.attr) for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id in modules}
+    assert ("simdevice", "make_timing_oracle") in lookups
+    missing = sorted(f"{module}.{attr}" for module, attr in lookups
+                     if not hasattr(importlib.import_module(f"hammerprint.{module}"), attr))
+    assert missing == []
 
 
 def test_tracer_installs_and_uninstalls_cleanly():

@@ -320,6 +320,19 @@ class TestEnrollIdentify:
         assert cli.main(["--dataset", str(ds), "enroll", str(fp_path)]) == 0
         assert "enrolled dev-2 (k=1" in capsys.readouterr().out
 
+    def test_empty_challenge_header_enroll_is_usage_error(self, tmp_path, device_profile,
+                                                          capsys):
+        # the fingerprint decodes, but a dataset.meta with `challenge=` would
+        # make every later identify and enroll on the dataset exit 2
+        ds = tmp_path / "ds"
+        fp_path = write_fingerprint(tmp_path, device_profile, "q.fp", 13)
+        blank = tmp_path / "blank.fp"
+        blank.write_text(re.sub(r"(?m)^challenge=.*$", "challenge=", fp_path.read_text()))
+        assert decode_fingerprint(blank.read_text()).challenge_hash == ""
+        assert cli.main(["--dataset", str(ds), "enroll", str(blank)]) == cli.EXIT_USAGE
+        assert "challenge hash" in capsys.readouterr().err
+        assert not ds.exists()  # so no dataset.meta either
+
     def test_threshold_outside_unit_interval_is_usage_error(self, tmp_path, device_profile,
                                                              capsys):
         ds = str(tmp_path / "ds")

@@ -356,6 +356,74 @@ class TestPersistence:
         assert after is enabled
         assert during == [False] * (1 if fails else 2)
 
+    def test_save_without_challenge_hash_writes_nothing(self, tmp_path):
+        path = tmp_path / "ds"
+        with pytest.raises(DatasetError, match="challenge hash"):
+            save_dataset(FingerprintDataset(""), str(path))
+        assert not path.exists()
+
+    def test_save_removes_what_was_removed_from_the_dataset(self, tmp_path):
+        ds = FingerprintDataset(H)
+        for dev_id, start in (("dev-1", 0), ("dev-2", 40)):
+            enroll(ds, dev_id, fp(block(start, 8)))
+            enroll(ds, dev_id, fp(block(start + 4, 8)))
+        path = tmp_path / "ds"
+        save_dataset(ds, str(path))
+        del ds.records["dev-2"]
+        ds.records["dev-1"].fingerprints.pop()
+        save_dataset(ds, str(path))
+        loaded = load_dataset(str(path))
+        assert {k: len(r.fingerprints) for k, r in loaded.records.items()} == {"dev-1": 1}
+        assert loaded == ds
+        assert sorted(os.listdir(path / "dev-1")) == ["1.fp"]
+        assert os.listdir(path / "dev-2") == []
+
+    @pytest.mark.parametrize("other", ["notes.fp", "0.fp", "01.fp", "02.fp", "2.fp.tmp"])
+    def test_save_leaves_names_it_does_not_write(self, tmp_path, other):
+        ds = FingerprintDataset(H)
+        for dev_id, start in (("dev-1", 0), ("dev-2", 40)):
+            enroll(ds, dev_id, fp(block(start, 8)))
+            enroll(ds, dev_id, fp(block(start + 4, 8)))
+        path = tmp_path / "ds"
+        save_dataset(ds, str(path))
+        for dev_id in ds.records:
+            (path / dev_id / other).write_text("kept\n")
+        ds.records["dev-1"].fingerprints.pop()
+        del ds.records["dev-2"]
+        save_dataset(ds, str(path))
+        assert sorted(os.listdir(path / "dev-1")) == sorted(["1.fp", other])
+        assert os.listdir(path / "dev-2") == [other]
+        assert (path / "dev-2" / other).read_text() == "kept\n"
+
+    def test_interrupted_removal_leaves_a_loadable_dataset(self, tmp_path, monkeypatch):
+        import hammerprint.registry as registry_mod
+
+        ds = FingerprintDataset(H)
+        fps = [fp(block(4 * k, 8)) for k in range(4)]
+        for f in fps:
+            enroll(ds, "dev-1", f)
+        path = str(tmp_path / "ds")
+        save_dataset(ds, path)
+        del ds.records["dev-1"].fingerprints[1:]
+
+        # fault injection: the second removal crashes
+        real_remove = os.remove
+        removed = []
+
+        def failing_remove(name):
+            if removed:
+                raise OSError("simulated crash before remove")
+            removed.append(os.path.basename(name))
+            real_remove(name)
+
+        monkeypatch.setattr(registry_mod.os, "remove", failing_remove)
+        with pytest.raises(OSError):
+            save_dataset(ds, path)
+        monkeypatch.setattr(registry_mod.os, "remove", real_remove)
+
+        assert removed == ["4.fp"]  # the highest first, so no gap opens
+        assert load_dataset(path).records["dev-1"].fingerprints == fps[:3]
+
     def test_load_missing_dataset(self, tmp_path):
         with pytest.raises(DatasetError):
             load_dataset(str(tmp_path / "nope"))
