@@ -208,10 +208,12 @@ def enroll(dataset: FingerprintDataset, dev_id: str, fp: Fingerprint) -> Fingerp
 #
 # Layout: <dir>/dataset.meta plus one fingerprint file per enrolled entry,
 # <dir>/<id>/<k>.fp with k = 1..n in enroll order. Loading reads exactly
-# those names and refuses any other .fp name or a gap. A save also removes
-# each <k>.fp it did not write, past a record's count or under a device the
+# those names and refuses any other .fp name or a gap. A save into a
+# directory that already holds a dataset.meta also removes each <k>.fp it
+# did not write, past a record's count or under a device directory the
 # dataset no longer holds, highest k first, so the loader never meets a
-# gap; other names (notes.fp, 0.fp, 01.fp) stay. Each file lands via
+# gap; other names (notes.fp, 0.fp, 01.fp) and symlinked directories stay.
+# A save into any other directory removes nothing. Each file lands via
 # write-temp-then-rename, so each file is replaced atomically. A whole save
 # is not: an interrupted save can leave some files new and others old, and
 # nothing is fsync'd.
@@ -242,6 +244,8 @@ def _remove_saved_past(dev_dir: str, count: int) -> None:
 def save_dataset(dataset: FingerprintDataset, directory: str) -> None:
     if not dataset.challenge_hash:  # load_dataset would refuse the meta
         raise DatasetError("cannot save a dataset without a challenge hash")
+    # only a directory that was a dataset before holds files a save wrote
+    was_dataset = os.path.exists(os.path.join(directory, META_NAME))
     os.makedirs(directory, exist_ok=True)
     meta = f"challenge={dataset.challenge_hash}\nid_counter={_next_index(dataset)}\n"
     for dev_id in sorted(dataset.records):
@@ -250,11 +254,14 @@ def save_dataset(dataset: FingerprintDataset, directory: str) -> None:
         os.makedirs(dev_dir, exist_ok=True)
         for k, fp in enumerate(record.fingerprints, start=1):
             _write_atomic(os.path.join(dev_dir, f"{k}.fp"), encode_fingerprint(fp))
-        _remove_saved_past(dev_dir, len(record.fingerprints))
-    for dev_id in os.listdir(directory):
-        dev_dir = os.path.join(directory, dev_id)
-        if dev_id not in dataset.records and os.path.isdir(dev_dir):
-            _remove_saved_past(dev_dir, 0)
+        if was_dataset:
+            _remove_saved_past(dev_dir, len(record.fingerprints))
+    if was_dataset:
+        for dev_id in os.listdir(directory):
+            dev_dir = os.path.join(directory, dev_id)
+            if (dev_id not in dataset.records and os.path.isdir(dev_dir)
+                    and not os.path.islink(dev_dir)):
+                _remove_saved_past(dev_dir, 0)
     _write_atomic(os.path.join(directory, META_NAME), meta)
 
 

@@ -235,6 +235,17 @@ class TestEnrollIdentify:
         assert rc == cli.EXIT_OK
         assert "matched dev-1 similarity=1" in out
 
+    def test_first_enroll_leaves_the_files_already_there(self, tmp_path, device_profile):
+        # a directory without dataset.meta holds no file a save wrote
+        ds = tmp_path / "runs"
+        (ds / "other").mkdir(parents=True)
+        captures = [write_fingerprint(ds / "other", device_profile, f"{k}.fp", 30 + k)
+                    for k in (1, 2)]
+        before = [p.read_bytes() for p in captures]
+        assert cli.main(["--dataset", str(ds), "enroll", str(captures[0])]) == 0
+        assert [p.read_bytes() for p in captures] == before
+        assert sorted(p.name for p in (ds / "other").iterdir()) == ["1.fp", "2.fp"]
+
     def test_second_detection_matches_with_high_similarity(self, tmp_path, device_profile, capsys):
         ds = str(tmp_path / "ds")
         for i, seed in enumerate((21, 22, 23)):

@@ -362,38 +362,41 @@ class TestPersistence:
             save_dataset(FingerprintDataset(""), str(path))
         assert not path.exists()
 
-    def test_save_removes_what_was_removed_from_the_dataset(self, tmp_path):
+    @pytest.mark.parametrize("other", [None, "notes.fp", "0.fp", "01.fp", "02.fp", "2.fp.tmp"])
+    def test_save_writes_exactly_the_dataset(self, tmp_path, other):
         ds = FingerprintDataset(H)
         for dev_id, start in (("dev-1", 0), ("dev-2", 40)):
             enroll(ds, dev_id, fp(block(start, 8)))
             enroll(ds, dev_id, fp(block(start + 4, 8)))
         path = tmp_path / "ds"
         save_dataset(ds, str(path))
-        del ds.records["dev-2"]
+        kept = [] if other is None else [other]
+        if other is not None:
+            for dev_id in ds.records:
+                (path / dev_id / other).write_text("kept\n")
         ds.records["dev-1"].fingerprints.pop()
+        del ds.records["dev-2"]
         save_dataset(ds, str(path))
-        loaded = load_dataset(str(path))
-        assert {k: len(r.fingerprints) for k, r in loaded.records.items()} == {"dev-1": 1}
-        assert loaded == ds
-        assert sorted(os.listdir(path / "dev-1")) == ["1.fp"]
-        assert os.listdir(path / "dev-2") == []
+        assert sorted(os.listdir(path / "dev-1")) == sorted(["1.fp", *kept])
+        assert os.listdir(path / "dev-2") == kept
+        if other is None:
+            loaded = load_dataset(str(path))
+            assert {k: len(r.fingerprints) for k, r in loaded.records.items()} == {"dev-1": 1}
+            assert loaded == ds
+        else:
+            assert (path / "dev-2" / other).read_text() == "kept\n"
 
-    @pytest.mark.parametrize("other", ["notes.fp", "0.fp", "01.fp", "02.fp", "2.fp.tmp"])
-    def test_save_leaves_names_it_does_not_write(self, tmp_path, other):
+    def test_save_leaves_a_symlinked_directory_alone(self, tmp_path):
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        (outside / "1.fp").write_text("kept\n")
         ds = FingerprintDataset(H)
-        for dev_id, start in (("dev-1", 0), ("dev-2", 40)):
-            enroll(ds, dev_id, fp(block(start, 8)))
-            enroll(ds, dev_id, fp(block(start + 4, 8)))
+        enroll(ds, "dev-1", fp(block(40, 8)))
         path = tmp_path / "ds"
         save_dataset(ds, str(path))
-        for dev_id in ds.records:
-            (path / dev_id / other).write_text("kept\n")
-        ds.records["dev-1"].fingerprints.pop()
-        del ds.records["dev-2"]
+        os.symlink(outside, path / "link")
         save_dataset(ds, str(path))
-        assert sorted(os.listdir(path / "dev-1")) == sorted(["1.fp", other])
-        assert os.listdir(path / "dev-2") == [other]
-        assert (path / "dev-2" / other).read_text() == "kept\n"
+        assert os.listdir(outside) == ["1.fp"]
 
     def test_interrupted_removal_leaves_a_loadable_dataset(self, tmp_path, monkeypatch):
         import hammerprint.registry as registry_mod
