@@ -57,32 +57,14 @@ class ExperimentReport:
         return max(self.values)
 
     def to_delimited(self) -> str:
-        """CSV text: a header line, then one line per row, cells by ``_cell``.
-
-        Each row is rendered by one ``str.format`` template built for the
-        report: ``{:.6g}`` for a column of exact floats, ``{}`` for one of
-        exact strings and ints, which is what ``_cell`` gives them. The
-        cells of a column holding any other kind or a mix go through
-        ``_cell`` one by one.
-        """
-        fields, loose = [], []
-        for j in range(len(self.columns)):
-            kinds = set(map(type, map(itemgetter(j), self.rows)))
-            fields.append("{:.6g}" if kinds == {float} else "{}")
-            if kinds != {float} and not kinds <= {str, int}:
-                loose.append(j)
-        render = ",".join(fields).format
-        rows = self.rows
-        if loose:
-            rows = ([_cell(v) if j in loose else v for j, v in enumerate(row)] for row in rows)
-        lines = [",".join(self.columns)]
-        lines += [render(*row) for row in rows]
-        return "\n".join(lines) + "\n"
+        """CSV text: a header line, then one line per row, cells by ``_formats``."""
+        return _delimited(self.columns, self.rows)
 
     def to_table(self, max_rows: int | None = None) -> str:
+        formats = _formats(self.columns, self.rows)
         shown = self.rows if max_rows is None else self.rows[:max_rows]
         widths = [len(c) for c in self.columns]
-        rendered = [[_cell(v) for v in row] for row in shown]
+        rendered = [[f.format(v) for f, v in zip(formats, row)] for row in shown]
         for row in rendered:
             widths = [max(w, len(v)) for w, v in zip(widths, row)]
         header = "  ".join(c.ljust(w) for c, w in zip(self.columns, widths))
@@ -98,10 +80,30 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.6g}"
-    return str(v)
+_FLOAT_CELL = "{:.6g}"
+
+
+def _formats(columns, rows) -> list[str]:
+    """The cell rule: ``_FLOAT_CELL`` for a column of floats, ``{}`` for
+    one of ints or one of strs; any other kind or a mix is refused."""
+    formats = []
+    for j, name in enumerate(columns):
+        kinds = set(map(type, map(itemgetter(j), rows)))
+        if kinds == {float}:
+            formats.append(_FLOAT_CELL)
+        elif kinds in ({int}, {str}, set()):
+            formats.append("{}")
+        else:
+            kinds = ", ".join(sorted(k.__name__ for k in kinds))
+            raise ExperimentError(f"column {name!r} holds {kinds}; a report column holds "
+                                  "only floats, only ints or only strs")
+    return formats
+
+
+def _delimited(columns, rows) -> str:
+    """CSV text of ``columns`` and ``rows``: each row by one template."""
+    render = ",".join(_formats(columns, rows)).format
+    return "\n".join([",".join(columns), *itertools.starmap(render, rows)]) + "\n"
 
 
 def _query_seeds(seed: int, n: int, tag: str = "") -> list[int]:
@@ -232,6 +234,8 @@ def uniqueness_experiment(dev_a: SimDevice, dev_b: SimDevice, ch: DramChallenge,
     """Cross-device similarity for two distinct devices, both directions."""
     if (dev_a.dimm_seed, dev_a.host_seed) == (dev_b.dimm_seed, dev_b.host_seed):
         raise ExperimentError("uniqueness needs two distinct devices")
+    if max_cases < 2:
+        raise ExperimentError("max_cases must be at least 2, one case per direction")
     qa = _make_queries(dev_a, ch, seed, n_queries, tag="a")
     qb = _make_queries(dev_b, ch, seed, n_queries, tag="b")
     rng = random.Random(f"{seed}:combos")
@@ -246,14 +250,6 @@ def uniqueness_experiment(dev_a: SimDevice, dev_b: SimDevice, ch: DramChallenge,
         columns=("direction", "database_queries", "new_query", "jaccard_prime"),
         rows=rows, values=values,
     )
-
-
-def _matrix_delimited(corner: str, row_names: list[str], column_names: list[str],
-                      matrix: list[list[float]]) -> str:
-    lines = [",".join([corner] + column_names)]
-    for name, row in zip(row_names, matrix):
-        lines.append(",".join([name] + [f"{v:.6g}" for v in row]))
-    return "\n".join(lines) + "\n"
 
 
 def _detected(row: tuple) -> bool:
@@ -284,14 +280,14 @@ class DetectionResult:
         return ExperimentReport(
             name="detection",
             columns=("position", "label", "true_id", "result_id", "decision", "similarity"),
-            rows=[(p, lb, t or "-", r, d, s if s is not None else "-")
+            rows=[(p, lb, t or "-", r, d, "-" if s is None else _FLOAT_CELL.format(s))
                   for p, lb, t, r, d, s in self.rows],
             values=[float(_detected(row)) for row in self.rows],
         )
 
     def matrix_delimited(self) -> str:
-        queries = [f"q{k + 1}" for k in range(len(self.matrix))]
-        return _matrix_delimited("query", queries, self.enrolled_ids, self.matrix)
+        rows = [(f"q{k}", *row) for k, row in enumerate(self.matrix, start=1)]
+        return _delimited(("query", *self.enrolled_ids), rows)
 
 
 def detection_experiment(n_devices: int = 8, seed: int = 0, replace: int = 0) -> DetectionResult:
@@ -376,8 +372,9 @@ class MultiHostResult:
 
     def matrix_delimited(self) -> str:
         names = [f"host{i + 1}" for i in range(len(self.host_seeds))]
-        return (_matrix_delimited("new\\db", names, names, self.matrix) + "\n"
-                + _matrix_delimited("host", ["mean_flips"], names, [self.mean_flips]))
+        rows = [(name, *row) for name, row in zip(names, self.matrix)]
+        return (_delimited(("new\\db", *names), rows) + "\n"
+                + _delimited(("host", *names), [("mean_flips", *self.mean_flips)]))
 
 
 def one_dimm_multi_host(dimm_seed: int, host_seeds: list[int],

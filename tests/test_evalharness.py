@@ -95,8 +95,9 @@ class TestUniqueness:
                                     {"max_cases": 1}])
     def test_bad_pairing_arguments_rejected(self, kw):
         # max_cases is split between the two directions, so 1 leaves 0 each
+        match = "max_cases must be at least 2" if "max_cases" in kw else "d_size must be at least 1"
         a, b = new_sim_device(10, 11), new_sim_device(12, 13)
-        with pytest.raises(ExperimentError):
+        with pytest.raises(ExperimentError, match=match):
             uniqueness_experiment(a, b, default_challenge(), n_queries=4, **kw)
 
     def test_self_pairing_reproduces_reliability(self):
@@ -182,9 +183,12 @@ class TestDetection:
             detection_experiment(n_devices=4, replace=5)
 
     def test_report_and_matrix_render(self):
-        result = detection_experiment(n_devices=3, seed=104)
+        result = detection_experiment(n_devices=3, seed=104, replace=1)
         rep = result.to_report()
         assert len(rep.rows) == 3
+        # one kind per column: a missing true id or similarity is the text "-"
+        assert [len(set(map(type, column))) for column in zip(*rep.rows)] == [1] * 6
+        assert ("-", "new", "-") in {(t, d, s) for _, _, t, _, d, s in rep.rows}
         text = result.matrix_delimited()
         assert text.splitlines()[0] == "query,dev-1,dev-2,dev-3"
 

@@ -41,14 +41,35 @@ def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+# sha256 of what each default-seed `eval <name>` prints in table mode:
+# the summary table, its truncation line and the closing summary lines
+GOLDEN_TABLES = {
+    "reliability": "2e820d0bc3241f965f817250a3ec3ce262bb24b0cdbb43b0f52ac0d72a94ec20",
+    "tradeoff": "df6c366bdd49f43775bf94be292c45090b2af01ab2257ceb7e6ab80a3aed4d31",
+    "detection": "1750ccb943ca3dec33bcebae1eb5fb1869d0f665d27ce0fbd9b6fde5b881141e",
+    "one-dimm": "0e7695d8b1d3522ccdf31e18a31c08cd2336dd2917bda8398e314862ab41534d",
+    "uniqueness": "0644f38f5d5c1191f58a67b75477f19ec42d40c8a7dbf4d82cd2e5f34d39062c",
+}
+
+
+def table_stdout(capsys, names, out_dir) -> dict:
+    """Run ``eval <name>`` for each name; return the sha256 of each one's stdout."""
+    digests = {}
+    for name in names:
+        assert cli.main(["eval", name, "--out-dir", str(out_dir)]) == 0
+        digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    return digests
+
+
 def test_default_seed_outputs_are_byte_identical(tmp_path, capsys):
     device, query = tmp_path / "device.prof", tmp_path / "query.fp"
     assert cli.main(["simulate", "new-device", "--out", str(device)]) == 0
     assert cli.main(["fingerprint", "--device", str(device), "--out", str(query)]) == 0
     assert cli.main(["reverse-map", "--device", str(device),
                      "--out", str(tmp_path / "mapping.txt")]) == 0
-    for name in ("reliability", "tradeoff"):
-        assert cli.main(["eval", name, "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert table_stdout(capsys, ("reliability", "tradeoff"), tmp_path) == {
+        name: GOLDEN_TABLES[name] for name in ("reliability", "tradeoff")}
     assert {name: sha256(tmp_path / name) for name in GOLDEN} == GOLDEN
 
 
@@ -125,11 +146,10 @@ GOLDEN_REPORTS = {
 
 
 def test_default_seed_experiment_reports_are_byte_identical(tmp_path, capsys):
-    for name in ("detection", "one-dimm", "uniqueness"):
-        assert cli.main(["eval", name, "--out-dir", str(tmp_path)]) == 0
+    names = ("detection", "one-dimm", "uniqueness")
+    assert table_stdout(capsys, names, tmp_path) == {name: GOLDEN_TABLES[name] for name in names}
     assert {name: sha256(tmp_path / name) for name in GOLDEN_REPORTS} == GOLDEN_REPORTS
     # delimited mode echoes exactly the bytes of the report file
-    capsys.readouterr()
     assert cli.main(["--format", "delimited", "eval", "tradeoff",
                      "--out-dir", str(tmp_path)]) == 0
     stdout = capsys.readouterr().out.encode()

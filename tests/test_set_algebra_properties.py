@@ -3,8 +3,9 @@
 ``FlipLocation`` is a validated 4-tuple; ``jaccard`` and
 ``_pairing_values`` must give exactly what plain set arithmetic gives,
 and ``_pairing_values`` must fail exactly where scoring each case with
-``jaccard_prime`` fails. A report's CSV must be the text of rendering
-each cell on its own.
+``jaccard_prime`` fails. A report's CSV and table must be the text of
+rendering each cell on its own, and a report column holding any kind
+but float, int or str, or a mix of kinds, is refused.
 """
 
 import copy
@@ -268,13 +269,17 @@ def test_pairing_values_fail_exactly_like_the_set_formula(args):
     assert outcome(_pairing_values, args) == outcome(set_pairing_values, args)
 
 
-# --- ExperimentReport.to_delimited --------------------------------------------------
+# --- ExperimentReport.to_delimited and to_table -------------------------------------
+
+def cell(v) -> str:
+    """The cell rule, one cell at a time: a float as ``.6g``, anything else by ``str``."""
+    return f"{v:.6g}" if isinstance(v, float) else str(v)
+
 
 def delimited_by_cell(report):
     """The CSV rule before the row template: each cell on its own."""
     lines = [",".join(report.columns)]
-    lines += [",".join([f"{v:.6g}" if isinstance(v, float) else str(v) for v in row])
-              for row in report.rows]
+    lines += [",".join(map(cell, row)) for row in report.rows]
     return "\n".join(lines) + "\n"
 
 
@@ -287,25 +292,72 @@ class Ratio(float):
 
 floats = st.floats() | st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf"),
                                         1e-7, 1e16, 1 / 3])
-cell_kinds = {
-    "str": st.text(max_size=5),
-    "int": st.integers(-10**20, 10**20),
-    "bool": st.booleans(),
-    "Ratio": floats.map(Ratio),
+# the kinds a report column may hold, and the kinds no column may hold
+column_kinds = {
     "float": floats,
+    "int": st.integers(-10**20, 10**20),
+    "str": st.text(max_size=5),
 }
-cell_kinds["mixed"] = st.one_of(*cell_kinds.values())
+refused_kinds = {"bool": st.booleans(), "Ratio": floats.map(Ratio)}
+cell_kinds = {**column_kinds, **refused_kinds}
+
+
+def report_of(columns: list[list]) -> ExperimentReport:
+    rows = list(zip(*columns))
+    return ExperimentReport("t", tuple(f"c{j}" for j in range(len(columns))), rows,
+                            [0.0] * len(rows))
+
+
+@st.composite
+def columns_of_one_kind(draw, n, min_columns):
+    """Columns of ``n`` cells, each column of floats, of ints or of strs."""
+    kinds = draw(st.lists(st.sampled_from(sorted(column_kinds)),
+                          min_size=min_columns, max_size=6))
+    return [draw(st.lists(column_kinds[k], min_size=n, max_size=n)) for k in kinds]
 
 
 @st.composite
 def reports(draw):
-    kinds = draw(st.lists(st.sampled_from(sorted(cell_kinds)), min_size=1, max_size=6))
-    rows = draw(st.lists(st.tuples(*(cell_kinds[k] for k in kinds)), max_size=8))
-    columns = tuple(f"c{j}" for j in range(len(kinds)))
-    return ExperimentReport("t", columns, rows, [0.0] * len(rows))
+    n = draw(st.integers(0, 8))
+    return report_of(draw(columns_of_one_kind(n, 1)))
+
+
+@st.composite
+def refused_reports(draw):
+    """A report with one column of bools, of Ratios or of at least two kinds,
+    among columns of one kind each; returns it and that column's name."""
+    n = draw(st.integers(2, 8))
+    columns = draw(columns_of_one_kind(n, 0))
+    bad = draw(st.sampled_from(["bool", "Ratio", "mixed"]))
+    if bad == "mixed":
+        a, b = draw(st.lists(st.sampled_from(sorted(cell_kinds)), min_size=2, max_size=2,
+                             unique=True))
+        rest = draw(st.lists(st.one_of(*cell_kinds.values()), min_size=n - 2, max_size=n - 2))
+        cells = draw(st.permutations([draw(cell_kinds[a]), draw(cell_kinds[b]), *rest]))
+    else:
+        cells = draw(st.lists(refused_kinds[bad], min_size=n, max_size=n))
+    j = draw(st.integers(0, len(columns)))
+    columns.insert(j, cells)
+    return report_of(columns), f"c{j}"
 
 
 @settings(max_examples=200, deadline=None)
 @given(reports())
 def test_delimited_is_each_cell_rendered_on_its_own(report):
     assert report.to_delimited() == delimited_by_cell(report)
+    if report.rows:  # a report of no trials has no mean to print
+        # every cell of a str column is printed as it is, so the tables
+        # agree exactly where each cell is the text of the cell rule
+        as_text = ExperimentReport("t", report.columns,
+                                   [tuple(map(cell, row)) for row in report.rows],
+                                   report.values)
+        assert report.to_table() == as_text.to_table()
+
+
+@settings(max_examples=200, deadline=None)
+@given(refused_reports())
+def test_a_column_of_another_kind_or_of_mixed_kinds_is_refused(drawn):
+    report, column = drawn
+    for render in (report.to_delimited, report.to_table):
+        with pytest.raises(ExperimentError, match=f"column '{column}' holds"):
+            render()
