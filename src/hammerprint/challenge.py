@@ -21,6 +21,11 @@ class ChallengeError(ValueError):
     """Malformed challenge or pattern."""
 
 
+class ChallengeFitError(ChallengeError):
+    """Challenge that does not fit the device geometry: unlike a parse
+    failure, the inputs are well-formed but disagree."""
+
+
 class PatternKind(str, Enum):
     ONE_LOCATION = "one-location"
     SINGLE_SIDED = "single-sided"
@@ -149,9 +154,9 @@ class DramChallenge:
 
     def validate_for(self, geom: DramGeometry) -> None:
         if any(not 0 <= b < geom.banks for b in self.bank_range):
-            raise ChallengeError("bank_range outside geometry banks")
+            raise ChallengeFitError("bank_range outside geometry banks")
         if self.pattern.max_row() >= geom.rows_per_bank:
-            raise ChallengeError("pattern rows exceed rows_per_bank")
+            raise ChallengeFitError("pattern rows exceed rows_per_bank")
 
     def with_measurements(self, m: int) -> "DramChallenge":
         return replace(self, measurements=m)

@@ -32,7 +32,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ChallengeMismatchError as e:
+    except (ChallengeMismatchError, challenge_mod.ChallengeFitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CHALLENGE_MISMATCH
     except geometry.RecoveryError as e:
@@ -67,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identify", help="match a fingerprint against the dataset")
     p.add_argument("fingerprint", help="fingerprint file")
-    p.add_argument("--threshold", type=float, default=0.4)
+    p.add_argument("--threshold", type=float, default=registry.DEFAULT_THRESHOLD,
+                   help="stage-1 Jaccard a candidate must exceed (default: %(default)s)")
     p.set_defaults(func=cmd_identify)
 
     p = sub.add_parser("enroll", help="add a fingerprint to the dataset")
@@ -76,16 +77,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enroll)
 
     p = sub.add_parser("eval", help="run an experiment and write its report")
-    p.add_argument("name", help="one of: reliability, uniqueness, detection, "
-                                "one-dimm, tradeoff")
+    p.add_argument("name", choices=_EXPERIMENTS, help="experiment to run")
     p.add_argument("--out-dir", default=".", help="directory for report files")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("reverse-map", help="recover bank functions from timing")
     p.add_argument("--device", required=True, help="device profile path")
     p.add_argument("--out", required=True, help="mapping file to write")
-    p.add_argument("--bases", type=int, default=16)
-    p.add_argument("--partners", type=int, default=512)
+    p.add_argument("--bases", type=int, default=geometry.ProbeConfig.num_bases,
+                   help="random base addresses to time (default: %(default)s)")
+    p.add_argument("--partners", type=int, default=geometry.ProbeConfig.partners_per_base,
+                   help="random partners timed per base (default: %(default)s)")
     p.set_defaults(func=cmd_reverse_map)
 
     p = sub.add_parser("simulate", help="simulator utilities")
@@ -99,16 +101,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_device(path: str) -> simdevice.SimDevice:
+def _read_text(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        return simdevice.parse_device(fh.read())
+        return fh.read()
 
 
-def _load_challenge(path: str | None) -> challenge_mod.DramChallenge:
-    if path is None:
-        return challenge_mod.default_challenge()
-    with open(path, encoding="utf-8") as fh:
-        return challenge_mod.parse_challenge(fh.read())
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _dataset_dir(args) -> str:
@@ -121,18 +121,11 @@ def _dataset_dir(args) -> str:
 
 
 def cmd_fingerprint(args) -> int:
-    dev = _load_device(args.device)
-    ch = _load_challenge(args.challenge)
-    try:
-        ch.validate_for(dev.geom)
-    except challenge_mod.ChallengeError as e:
-        # distinct from parse failures: the inputs are well-formed but disagree
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CHALLENGE_MISMATCH
+    dev = simdevice.parse_device(_read_text(args.device))
+    ch = (challenge_mod.default_challenge() if args.challenge is None
+          else challenge_mod.parse_challenge(_read_text(args.challenge)))
     fp = simdevice.run_query(dev, ch, args.seed, query_time=args.timestamp)
-    text = encode_fingerprint(fp)  # may refuse the header; nothing written then
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_text(args.out, encode_fingerprint(fp))  # encoded first: a refused header writes nothing
     print(f"wrote {args.out}: {len(fp.locations)} bit flips")
     if not fp.locations:
         cause = ("TRR neutralized the pattern" if simdevice.trr_neutralizes(dev, ch)
@@ -144,8 +137,7 @@ def cmd_fingerprint(args) -> int:
 
 def cmd_identify(args) -> int:
     dataset = registry.load_dataset(_dataset_dir(args))
-    with open(args.fingerprint, encoding="utf-8") as fh:
-        fp = decode_fingerprint(fh.read())
+    fp = decode_fingerprint(_read_text(args.fingerprint))
     result = registry.identify(dataset, fp, args.threshold)
     if result.decision == "matched":
         print(f"matched {result.device_id} similarity={result.similarity:.6g}")
@@ -156,8 +148,7 @@ def cmd_identify(args) -> int:
 
 def cmd_enroll(args) -> int:
     directory = _dataset_dir(args)
-    with open(args.fingerprint, encoding="utf-8") as fh:
-        fp = decode_fingerprint(fh.read())
+    fp = decode_fingerprint(_read_text(args.fingerprint))
     if os.path.exists(os.path.join(directory, registry.META_NAME)):
         dataset = registry.load_dataset(directory)
     else:
@@ -171,32 +162,14 @@ def cmd_enroll(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    name = args.name
-    runners = {
-        "reliability": _eval_reliability,
-        "uniqueness": _eval_uniqueness,
-        "detection": _eval_detection,
-        "one-dimm": _eval_one_dimm,
-        "tradeoff": _eval_tradeoff,
-    }
-    runner = runners.get(name)
-    if runner is None:
-        print(f"error: unknown experiment {name!r} "
-              f"(choose from {', '.join(sorted(runners))})", file=sys.stderr)
-        return EXIT_USAGE
     os.makedirs(args.out_dir, exist_ok=True)
-    runner(args)
+    _EXPERIMENTS[args.name](args)
     return EXIT_OK
-
-
-def _write_file(args, name: str, text: str) -> None:
-    with open(os.path.join(args.out_dir, name), "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 def _write_report(args, report: evalharness.ExperimentReport, filename: str) -> None:
     text = report.to_delimited()
-    _write_file(args, filename, text)
+    _write_text(os.path.join(args.out_dir, filename), text)
     if args.format == "table":
         # full data lives in the file; keep the terminal echo short
         print(report.to_table(max_rows=None if args.verbose else 20))
@@ -227,7 +200,7 @@ def _eval_uniqueness(args) -> None:
 def _eval_detection(args) -> None:
     result = evalharness.detection_experiment(seed=args.seed)
     _write_report(args, result.to_report(), "detection.csv")
-    _write_file(args, "detection_matrix.csv", result.matrix_delimited())
+    _write_text(os.path.join(args.out_dir, "detection_matrix.csv"), result.matrix_delimited())
     print(f"correct decisions: {result.correct}/{len(result.rows)}")
 
 
@@ -235,7 +208,7 @@ def _eval_one_dimm(args) -> None:
     hosts = [args.seed + 7001, args.seed + 7002, args.seed + 7003]
     result = evalharness.one_dimm_multi_host(args.seed, hosts, seed=args.seed)
     _write_report(args, result.to_report(), "one_dimm.csv")
-    _write_file(args, "one_dimm_matrix.csv", result.matrix_delimited())
+    _write_text(os.path.join(args.out_dir, "one_dimm_matrix.csv"), result.matrix_delimited())
     flips = ", ".join(f"{v:.1f}" for v in result.mean_flips)
     print(f"per-host mean flips: {flips}")
 
@@ -247,8 +220,17 @@ def _eval_tradeoff(args) -> None:
     _write_report(args, report, "tradeoff.csv")
 
 
+_EXPERIMENTS = {
+    "reliability": _eval_reliability,
+    "uniqueness": _eval_uniqueness,
+    "detection": _eval_detection,
+    "one-dimm": _eval_one_dimm,
+    "tradeoff": _eval_tradeoff,
+}
+
+
 def cmd_reverse_map(args) -> int:
-    dev = _load_device(args.device)
+    dev = simdevice.parse_device(_read_text(args.device))
     oracle = simdevice.make_timing_oracle(dev, args.seed)
     cfg = geometry.ProbeConfig(num_bases=args.bases,
                                partners_per_base=args.partners,
@@ -257,8 +239,7 @@ def cmd_reverse_map(args) -> int:
     recovered = geometry.AddressMapping(tuple(funcs),
                                         dev.mapping.row_bits,
                                         dev.mapping.column_bits)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(geometry.encode_mapping(recovered))
+    _write_text(args.out, geometry.encode_mapping(recovered))
     match = gf2.row_space_equal(list(funcs), list(dev.mapping.bank_functions))
     print(f"wrote {args.out}: {len(funcs)} bank functions, "
           f"row space {'matches' if match else 'DIFFERS from'} the device profile")
@@ -271,8 +252,7 @@ def cmd_new_device(args) -> int:
     host = args.host_seed if args.host_seed is not None else rng.getrandbits(64)
     dev = simdevice.new_sim_device(dimm, host)
     dev.device_key  # refuses a seed the PRF cannot encode before --out is opened
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(simdevice.encode_device(dev))
+    _write_text(args.out, simdevice.encode_device(dev))
     print(f"wrote {args.out}: dimm_seed={dimm:#x} host_seed={host:#x}")
     return EXIT_OK
 

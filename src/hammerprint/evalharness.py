@@ -44,17 +44,22 @@ class ExperimentReport:
         if set(map(len, self.rows)) - {len(self.columns)}:
             raise ExperimentError("one cell per column required in every row")
 
+    def _summarized(self) -> list[float]:
+        if not self.values:
+            raise ExperimentError(f"report {self.name!r} has no rows to summarize")
+        return self.values
+
     @property
     def mean(self) -> float:
-        return sum(self.values) / len(self.values)
+        return sum(self._summarized()) / len(self.values)
 
     @property
     def min(self) -> float:
-        return min(self.values)
+        return min(self._summarized())
 
     @property
     def max(self) -> float:
-        return max(self.values)
+        return max(self._summarized())
 
     def to_delimited(self) -> str:
         """CSV text: a header line, then one line per row, cells by ``_formats``."""

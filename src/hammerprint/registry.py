@@ -156,8 +156,11 @@ def _next_index(dataset: FingerprintDataset) -> int:
     return max(dataset._id_counter, max(indices, default=0) + 1)
 
 
+DEFAULT_THRESHOLD = 0.4
+
+
 def identify(dataset: FingerprintDataset, f_u: Fingerprint,
-             threshold: float = 0.4) -> IdentifyResult:
+             threshold: float = DEFAULT_THRESHOLD) -> IdentifyResult:
     """Match a new fingerprint against the dataset.
 
     A candidate's stage-1 Jaccard must exceed ``threshold``, in (0, 1),

@@ -168,3 +168,23 @@ class TestSerialization:
         for bad_value in ("temporal=1,2\n", "bank_range=x\n"):
             with pytest.raises(ChallengeError):
                 parse_challenge(encode_challenge(default_challenge()) + bad_value)
+
+
+DOUBLE = build_pattern(PatternKind.DOUBLE_SIDED, 2, 1)
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: HammerPattern(PatternKind.N_SIDED, (-1, 1, 3)),
+                 "aggressor offsets must be nonnegative", id="negative-offset"),
+    pytest.param(lambda: HammerPattern(PatternKind.DOUBLE_SIDED, (1, 3, 5)),
+                 "double-sided pattern takes exactly 2 aggressors", id="double-sided-3"),
+    pytest.param(lambda: DataPattern(256, 0),
+                 "data pattern values are single bytes", id="data-byte"),
+    pytest.param(lambda: DramChallenge((), DOUBLE, DataPattern(), 1),
+                 "bank_range must be nonempty", id="no-banks"),
+    pytest.param(lambda: DramChallenge((0, 0), DOUBLE, DataPattern(), 1),
+                 "bank_range entries must be distinct", id="repeated-bank"),
+])
+def test_constructor_refusals(make, message):
+    with pytest.raises(ChallengeError, match=message):
+        make()

@@ -224,6 +224,23 @@ class TestFingerprintCommand:
                        "--challenge", str(ch_path), "--out", str(tmp_path / "x.fp")])
         assert rc == cli.EXIT_CHALLENGE_MISMATCH
 
+    @pytest.mark.parametrize("banks, rows, message", [
+        ((0,), 3000, "pattern rows exceed rows_per_bank"),
+        ((99,), 3, "bank_range outside geometry banks"),
+    ])
+    def test_challenge_that_does_not_fit_exits_4_and_writes_nothing(
+            self, tmp_path, device_profile, capsys, banks, rows, message):
+        ch = DramChallenge(banks, build_pattern(PatternKind.N_SIDED, rows, 1), DataPattern(), 2)
+        ch_path = tmp_path / "unfit.ch"
+        ch_path.write_text(encode_challenge(ch))
+        out = tmp_path / "x.fp"
+        capsys.readouterr()
+        rc = cli.main(["fingerprint", "--device", str(device_profile),
+                       "--challenge", str(ch_path), "--out", str(out)])
+        assert rc == cli.EXIT_CHALLENGE_MISMATCH
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
 
 class TestEnrollIdentify:
     def test_enroll_then_identify_same_fingerprint(self, tmp_path, device_profile, capsys):
@@ -389,6 +406,33 @@ class TestEnrollIdentify:
             assert cli.main(["--dataset", str(ds), command, str(fp_path)]) == cli.EXIT_USAGE
             assert "'owner=me'" in capsys.readouterr().err
 
+    def test_stored_fingerprint_of_another_challenge_exits_4(self, tmp_path, device_profile,
+                                                             capsys):
+        ds = tmp_path / "ds"
+        fp_path = write_fingerprint(tmp_path, device_profile, "q.fp", 17)
+        for _ in range(2):
+            assert cli.main(["--dataset", str(ds), "enroll", str(fp_path), "--id", "dev-1"]) == 0
+        stored = ds / "dev-1" / "2.fp"
+        header = fp_path.read_text().splitlines()[0]
+        stored.write_text(stored.read_text().replace(header, "challenge=" + "0" * 64))
+        capsys.readouterr()
+        for command in ("identify", "enroll"):
+            rc = cli.main(["--dataset", str(ds), command, str(fp_path)])
+            assert rc == cli.EXIT_CHALLENGE_MISMATCH
+            assert capsys.readouterr().err == (
+                "error: fingerprint under 'dev-1' does not match the dataset challenge\n")
+
+    def test_meta_without_challenge_is_usage_error(self, tmp_path, device_profile, capsys):
+        ds = tmp_path / "ds"
+        fp_path = write_fingerprint(tmp_path, device_profile, "q.fp", 18)
+        assert cli.main(["--dataset", str(ds), "enroll", str(fp_path)]) == 0
+        meta = ds / "dataset.meta"
+        meta.write_text(re.sub(r"(?m)^challenge=.*$", "challenge=", meta.read_text()))
+        capsys.readouterr()
+        for command in ("identify", "enroll"):
+            assert cli.main(["--dataset", str(ds), command, str(fp_path)]) == cli.EXIT_USAGE
+            assert capsys.readouterr().err == "error: dataset.meta lacks a challenge hash\n"
+
     def test_dataset_env_var(self, tmp_path, device_profile, monkeypatch):
         ds = tmp_path / "envds"
         monkeypatch.setenv(cli.DATASET_ENV, str(ds))
@@ -404,9 +448,10 @@ class TestEnrollIdentify:
 
 class TestEval:
     def test_unknown_experiment_is_usage_error(self, tmp_path, capsys):
-        rc = cli.main(["eval", "nonsense", "--out-dir", str(tmp_path)])
-        assert rc == cli.EXIT_USAGE
-        assert "unknown experiment" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "nonsense", "--out-dir", str(tmp_path)])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "invalid choice: 'nonsense'" in capsys.readouterr().err
 
     def test_tradeoff_writes_report(self, tmp_path, capsys):
         rc = cli.main(["eval", "tradeoff", "--out-dir", str(tmp_path)])
@@ -491,6 +536,15 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             cli.main(["bogus-command"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command, defaults", [("identify", ["0.4"]),
+                                                   ("reverse-map", ["16", "512"])])
+    def test_help_shows_the_library_defaults(self, capsys, command, defaults):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        shown = " ".join(capsys.readouterr().out.split())  # whatever the wrap width
+        assert all(f"(default: {d})" in shown for d in defaults)
 
 
 def test_exit_codes_match_readme_and_docstring():

@@ -47,6 +47,13 @@ class TestExperimentReport:
         assert "0.5" in csv
         assert "mean=0.5" in rep.to_table()
 
+    def test_empty_report_writes_its_header_and_refuses_a_summary(self):
+        rep = ExperimentReport("t", ("a",), [], [])
+        assert rep.to_delimited() == "a\n"
+        for summary in (lambda: rep.mean, lambda: rep.min, lambda: rep.max, rep.to_table):
+            with pytest.raises(ExperimentError, match="report 't' has no rows to summarize"):
+                summary()
+
 
 class TestReliability:
     def test_deterministic_flips_give_exact_one(self, toy_geom, toy_mapping):

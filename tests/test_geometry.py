@@ -363,3 +363,40 @@ class TestRecovery:
             with pytest.raises(GeometryError):
                 ProbeConfig(**kw)
         ProbeConfig(num_bases=4, partners_per_base=2)
+
+
+FUNCS = (1 << 8, 1 << 9, 1 << 10)  # three bank bits, as toy_geom's 8 banks need
+
+
+def one_function_oracle(a: int, b: int) -> float:
+    """Latency of a device with the single bank function 0x1040: a
+    conflict (same bank) is slow."""
+    return 150.0 if ((a ^ b) & 0x1040).bit_count() % 2 == 0 else 50.0
+
+
+@pytest.mark.parametrize("refused, error, message", [
+    pytest.param(lambda g: DramGeometry(8, 256, 256, 0),
+                 GeometryError, "address_bits must be >= 1", id="no-address-bits"),
+    pytest.param(lambda g: AddressMapping((1 << 8, 0), (10, 18), (0, 8)),
+                 MappingError, "bank functions must be nonzero masks", id="zero-mask"),
+    pytest.param(lambda g: AddressMapping(FUNCS, (11, 11), (0, 8)),
+                 MappingError, "bit ranges must be nonempty", id="empty-range"),
+    pytest.param(lambda g: phys_to_dram(0, AddressMapping(FUNCS, (11, 19), (0, 7)), g),
+                 MappingError, "column bit range width does not match columns_per_row",
+                 id="column-width"),
+    pytest.param(lambda g: phys_to_dram(0, AddressMapping(FUNCS, (13, 21), (0, 8)), g),
+                 MappingError, "row/column ranges exceed address_bits", id="range-too-high"),
+    pytest.param(lambda g: phys_to_dram(
+                     0, AddressMapping((1 << 8, 1 << 9, 1 << 20), (11, 19), (0, 8)), g),
+                 MappingError, "bank function mask exceeds address_bits", id="mask-too-high"),
+    pytest.param(lambda g: canonical_mapping(DramGeometry(16, 4, 16, 10)),
+                 MappingError, "canonical mapping needs row_bits >= bank_bits",
+                 id="canonical-few-rows"),
+    pytest.param(lambda g: recover_bank_functions(one_function_oracle,
+                                                  DramGeometry(4, 64, 64, 16)),
+                 RecoveryError, "recovered 1 candidate functions, geometry implies 2",
+                 id="candidate-count"),
+])
+def test_refusals(toy_geom, refused, error, message):
+    with pytest.raises(error, match=message):
+        refused(toy_geom)

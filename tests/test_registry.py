@@ -487,3 +487,9 @@ class TestPersistence:
         assert set(after.records) == set(before.records) == {"dev-1"}
         assert after.records["dev-1"].fingerprints == before.records["dev-1"].fingerprints
         assert generate_new_id(after) == "dev-2"
+
+
+@pytest.mark.parametrize("hashes", [(H, "d" * 64), ("d" * 64, H, H)])
+def test_record_refuses_mixed_challenge_hashes(hashes):
+    with pytest.raises(DatasetError, match="device 'dev-1' mixes challenge hashes"):
+        DeviceRecord("dev-1", [fp(block(10 * i, 10), h) for i, h in enumerate(hashes)])

@@ -363,3 +363,9 @@ class TestDeviceProfile:
         for bad_value in ("bankfn=zz\n", "row=1\n", "banks=3\n"):
             with pytest.raises(DeviceError):
                 parse_device(good + bad_value)
+
+
+@pytest.mark.parametrize("field", ["timing_sigma", "timing_conflict_gap"])
+def test_negative_timing_parameter_is_refused(field):
+    with pytest.raises(DeviceError, match="timing parameters must be >= 0"):
+        NoiseConfig(**{field: -1.0})
