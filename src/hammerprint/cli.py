@@ -94,11 +94,19 @@ def build_parser() -> argparse.ArgumentParser:
     sim_sub = p.add_subparsers(dest="sim_command", required=True)
     q = sim_sub.add_parser("new-device", help="write a fresh device profile")
     q.add_argument("--out", required=True, help="device profile path to write")
-    q.add_argument("--dimm-seed", type=lambda s: int(s, 0), default=None)
-    q.add_argument("--host-seed", type=lambda s: int(s, 0), default=None)
+    q.add_argument("--dimm-seed", type=_seed_literal, default=None)
+    q.add_argument("--host-seed", type=_seed_literal, default=None)
     q.set_defaults(func=cmd_new_device)
 
     return parser
+
+
+def _seed_literal(text: str) -> int:
+    # an integer literal in any base Python reads: 7, 0x1F, 0o17, 0b101
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
 
 
 def _read_text(path: str) -> str:

@@ -327,7 +327,8 @@ def detection_experiment(n_devices: int = 8, seed: int = 0, replace: int = 0) ->
             enroll(dataset, dev_id, fp)
         enrolled_ids.append(dev_id)
 
-    unions = [dataset.records[i].union() for i in enrolled_ids]  # identify never edits them
+    # identify never edits the records, so their unions hold for every query
+    unions = [union_of(dataset.records[i].fingerprints) for i in enrolled_ids]
     true_ids: list[str | None] = list(enrolled_ids)
     if replace:
         for pos in rng.sample(range(n_devices), replace):

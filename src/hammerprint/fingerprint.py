@@ -42,7 +42,6 @@ class FlipLocation(tuple):
     """
 
     __slots__ = ()
-    __match_args__ = ("bank", "row", "column", "bit")
 
     def __new__(cls, bank: int, row: int, column: int, bit: int):
         try:

@@ -111,16 +111,13 @@ class AddressMapping:
         for lo, hi in (self.row_bits, self.column_bits):
             if not (0 <= lo < hi):
                 raise MappingError("bit ranges must be nonempty with lo < hi")
-        if _ranges_overlap(self.row_bits, self.column_bits):
+        (row_lo, row_hi), (col_lo, col_hi) = self.row_bits, self.column_bits
+        if row_lo < col_hi and col_lo < row_hi:
             raise MappingError("row and column bit ranges overlap")
 
     @cached_property
     def _layouts(self) -> dict[DramGeometry, _Layout]:
         return {}
-
-
-def _ranges_overlap(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return a[0] < b[1] and b[0] < a[1]
 
 
 class _Layout(NamedTuple):

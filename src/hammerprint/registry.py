@@ -53,13 +53,6 @@ class DeviceRecord:
         if len(hashes) > 1:
             raise DatasetError(f"device {self.id!r} mixes challenge hashes")
 
-    @property
-    def representative(self) -> Fingerprint:
-        return self.fingerprints[0]
-
-    def union(self) -> Fingerprint:
-        return union_of(self.fingerprints)
-
 
 @dataclass
 class FingerprintDataset:
@@ -107,7 +100,7 @@ class FingerprintDataset:
             return False
         records, indexed, owners = self.records, self._indexed, self._owners
         for key, record in records.items():
-            rep = record.fingerprints[0]  # the representative, without a property call
+            rep = record.fingerprints[0]
             old = indexed.get(key)
             if old is rep:
                 continue
@@ -141,7 +134,7 @@ def fingerprint_match(f_u: Fingerprint, f_i1: Fingerprint, threshold: float) -> 
 
 def get_similarity(f_u: Fingerprint, record: DeviceRecord) -> float:
     """Overlap of the new query with the device's full fingerprint union."""
-    return jaccard_prime(f_u, record.union())
+    return jaccard_prime(f_u, union_of(record.fingerprints))
 
 
 def generate_new_id(dataset: FingerprintDataset) -> str:
@@ -179,7 +172,7 @@ def identify(dataset: FingerprintDataset, f_u: Fingerprint,
 
     records = dataset.records
     candidates = [key for key in dataset._sharing(f_u)
-                  if fingerprint_match(f_u, records[key].representative, threshold)]
+                  if fingerprint_match(f_u, records[key].fingerprints[0], threshold)]
     if not candidates:
         return IdentifyResult(generate_new_id(dataset), "new")
     best_sim, best_id = min(((get_similarity(f_u, records[key]), key) for key in candidates),
@@ -212,10 +205,11 @@ def enroll(dataset: FingerprintDataset, dev_id: str, fp: Fingerprint) -> Fingerp
 # Layout: <dir>/dataset.meta plus one fingerprint file per enrolled entry,
 # <dir>/<id>/<k>.fp with k = 1..n in enroll order. Loading reads exactly
 # those names and refuses any other .fp name or a gap. A save into a
-# directory that already holds a dataset.meta also removes each <k>.fp it
-# did not write, past a record's count or under a device directory the
-# dataset no longer holds, highest k first, so the loader never meets a
-# gap; other names (notes.fp, 0.fp, 01.fp) and symlinked directories stay.
+# directory that already holds a dataset.meta, once every file is written,
+# sweeps each entry of it once: a record's directory (a symlink too) down to
+# the record's count, any other directory that is not a symlink down to
+# none. A sweep removes each <k>.fp above its count, highest k first, so
+# the loader never meets a gap; other names (notes.fp, 0.fp, 01.fp) stay.
 # A save into any other directory removes nothing. Each file lands via
 # write-temp-then-rename, so each file is replaced atomically. A whole save
 # is not: an interrupted save can leave some files new and others old, and
@@ -237,13 +231,6 @@ def _write_atomic(path: str, content: str) -> None:
             os.unlink(tmp)
 
 
-def _remove_saved_past(dev_dir: str, count: int) -> None:
-    """Remove each <k>.fp in dev_dir with k above count, highest k first."""
-    ks = [int(m[1]) for m in map(_SAVED_NAME.fullmatch, os.listdir(dev_dir)) if m]
-    for k in sorted((k for k in ks if k > count), reverse=True):
-        os.remove(os.path.join(dev_dir, f"{k}.fp"))
-
-
 def save_dataset(dataset: FingerprintDataset, directory: str) -> None:
     if not dataset.challenge_hash:  # load_dataset would refuse the meta
         raise DatasetError("cannot save a dataset without a challenge hash")
@@ -252,19 +239,21 @@ def save_dataset(dataset: FingerprintDataset, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
     meta = f"challenge={dataset.challenge_hash}\nid_counter={_next_index(dataset)}\n"
     for dev_id in sorted(dataset.records):
-        record = dataset.records[dev_id]
         dev_dir = os.path.join(directory, dev_id)
         os.makedirs(dev_dir, exist_ok=True)
-        for k, fp in enumerate(record.fingerprints, start=1):
+        for k, fp in enumerate(dataset.records[dev_id].fingerprints, start=1):
             _write_atomic(os.path.join(dev_dir, f"{k}.fp"), encode_fingerprint(fp))
-        if was_dataset:
-            _remove_saved_past(dev_dir, len(record.fingerprints))
-    if was_dataset:
-        for dev_id in os.listdir(directory):
-            dev_dir = os.path.join(directory, dev_id)
-            if (dev_id not in dataset.records and os.path.isdir(dev_dir)
-                    and not os.path.islink(dev_dir)):
-                _remove_saved_past(dev_dir, 0)
+    for name in os.listdir(directory) if was_dataset else ():
+        dev_dir = os.path.join(directory, name)
+        if name in dataset.records:
+            count = len(dataset.records[name].fingerprints)
+        elif os.path.isdir(dev_dir) and not os.path.islink(dev_dir):
+            count = 0
+        else:
+            continue
+        ks = [int(m[1]) for m in map(_SAVED_NAME.fullmatch, os.listdir(dev_dir)) if m]
+        for k in sorted((k for k in ks if k > count), reverse=True):
+            os.remove(os.path.join(dev_dir, f"{k}.fp"))
     _write_atomic(os.path.join(directory, META_NAME), meta)
 
 

@@ -256,13 +256,11 @@ def make_timing_oracle(dev: SimDevice, rng_seed: int):
 
 
 def trr_neutralizes(dev: SimDevice, ch: DramChallenge) -> bool:
-    """Uniform patterns whose distinct aggressors fit the TRR sampler are
-    fully refreshed away; anything wider or non-uniform gets through."""
-    if not dev.trr.enabled:
-        return False
-    if not ch.pattern.uniform:
-        return False
-    return len(set(ch.pattern.aggressor_offsets)) <= dev.trr.sampler_size
+    """Uniform patterns whose aggressors (always distinct) fit the TRR
+    sampler are fully refreshed away; anything wider or non-uniform gets
+    through."""
+    return (dev.trr.enabled and ch.pattern.uniform
+            and len(ch.pattern.aggressor_offsets) <= dev.trr.sampler_size)
 
 
 def _flip_streams(dev: SimDevice, ch: DramChallenge, measurement_seed: int):

@@ -245,7 +245,7 @@ def test_criterion_09_identification_determinism():
         result = identify(ds, query, cfg)
 
         # brute force: argmax of the ranking metric over every device
-        best = max(((jaccard_prime(query, r.union()), rid)
+        best = max(((jaccard_prime(query, union_of(r.fingerprints)), rid)
                     for rid, r in ds.records.items()),
                    key=lambda sr: (sr[0], tuple(-ord(c) for c in sr[1])))
         assert result.decision == "matched"

@@ -5,14 +5,19 @@ and ``simdevice.phys_to_dram`` where they are looked up at call time, and
 ``perfbench/workloads.py`` calls names such as ``simdevice.make_timing_oracle``
 through their modules. If a refactor deletes or renames one, a benchmark
 run dies with an AttributeError; these tests make that failure show up in
-the unit suite. The files are only read, parsed and executed, never
-imported from their directory, so nothing is written next to them.
+the unit suite. Each workload also runs its first few requests, so an
+attribute it reads off a library object fails here too. The files are only
+read, parsed and executed, never imported from their directory, so nothing
+is written next to them.
 """
 
 import ast
 import importlib
+import itertools
 import types
 from pathlib import Path
+
+import pytest
 
 from hammerprint import evalharness, registry, simdevice
 from hammerprint.challenge import challenge_hash, default_challenge
@@ -22,11 +27,15 @@ TRACING = PERFBENCH / "tracing.py"
 WORKLOADS = PERFBENCH / "workloads.py"
 
 
-def load_tracing() -> types.ModuleType:
-    module = types.ModuleType("perfbench_tracing")
-    module.__file__ = str(TRACING)
-    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+def load_perfbench(path: Path) -> types.ModuleType:
+    module = types.ModuleType(f"perfbench_{path.stem}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
+
+
+def load_tracing() -> types.ModuleType:
+    return load_perfbench(TRACING)
 
 
 def test_workloads_library_lookups_exist():
@@ -43,6 +52,20 @@ def test_workloads_library_lookups_exist():
     missing = sorted(f"{module}.{attr}" for module, attr in lookups
                      if not hasattr(importlib.import_module(f"hammerprint.{module}"), attr))
     assert missing == []
+
+
+@pytest.mark.parametrize("name", ["query", "reliability", "fleet", "reverse_map"])
+def test_workload_runs_its_first_requests(tmp_path, name):
+    # runs the object attributes workloads.py reads, which the lookup test
+    # above cannot see: dev.support_block_start, loc.bank, rec.fingerprints,
+    # DeviceRecord(id, fps), report.values and the like
+    workloads = load_perfbench(WORKLOADS)
+    workload = workloads.make(name, 71, str(tmp_path))
+    for kind, call, verify in itertools.islice(workload.ops(), 3):
+        _, verdict, _, _ = verify(call())
+        assert verdict == workloads.OK, kind
+    final = workload.finish()
+    assert final is None or final[1] == workloads.OK
 
 
 def test_tracer_installs_and_uninstalls_cleanly():

@@ -59,6 +59,16 @@ class TestSimulateNewDevice:
         dev = parse_device(p.read_text())
         assert dev.dimm_seed == 0x10 and dev.host_seed == 32
 
+    @pytest.mark.parametrize("flag", ["--dimm-seed", "--host-seed"])
+    def test_seed_that_is_not_an_integer_is_usage_error(self, tmp_path, capsys, flag):
+        out = tmp_path / "d.prof"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "new-device", "--out", str(out), flag, "xyz"])
+        assert exc.value.code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.endswith(f": error: argument {flag}: not an integer: 'xyz'\n")
+        assert not out.exists()
+
     def test_seed_beyond_prf_encoding_is_usage_error(self, tmp_path, device_profile, capsys):
         big = tmp_path / "big.prof"
         too_big = ["simulate", "new-device", "--out", str(big), "--dimm-seed", "0x" + "f" * 40]

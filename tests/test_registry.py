@@ -112,12 +112,12 @@ class TestIdentify:
         enroll(ds, "dev-1", fp(block(0, 100)))   # J'(query, dev-1) = 0.9
         enroll(ds, "dev-2", fp(block(40, 80)))   # J'(query, dev-2) = 0.6
         query = fp(block(0, 90) | block(100, 10))
-        assert fingerprint_match(query, ds.records["dev-1"].representative, 0.4)
-        assert fingerprint_match(query, ds.records["dev-2"].representative, 0.4)
+        assert fingerprint_match(query, ds.records["dev-1"].fingerprints[0], 0.4)
+        assert fingerprint_match(query, ds.records["dev-2"].fingerprints[0], 0.4)
         result = identify(ds, query, 0.4)
         # brute force over every device without the two-stage shortcut
         brute = max(
-            ((jaccard_prime(query, r.union()), rid) for rid, r in ds.records.items()),
+            ((jaccard_prime(query, union_of(r.fingerprints)), rid) for rid, r in ds.records.items()),
             key=lambda sr: (sr[0], [-ord(c) for c in sr[1]]),
         )
         assert result.device_id == brute[1] == "dev-1"
@@ -397,6 +397,22 @@ class TestPersistence:
         os.symlink(outside, path / "link")
         save_dataset(ds, str(path))
         assert os.listdir(outside) == ["1.fp"]
+
+    def test_save_writes_and_sweeps_a_record_through_its_symlink(self, tmp_path):
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        path = tmp_path / "ds"
+        save_dataset(FingerprintDataset(H), str(path))  # a dataset.meta and no record
+        os.symlink(outside, path / "dev-1")
+        ds = FingerprintDataset(H)
+        enroll(ds, "dev-1", fp(block(0, 8)))
+        enroll(ds, "dev-1", fp(block(4, 8)))
+        save_dataset(ds, str(path))
+        assert sorted(os.listdir(outside)) == ["1.fp", "2.fp"]
+        ds.records["dev-1"].fingerprints.pop()
+        save_dataset(ds, str(path))
+        assert os.listdir(outside) == ["1.fp"]
+        assert load_dataset(str(path)) == ds
 
     def test_interrupted_removal_leaves_a_loadable_dataset(self, tmp_path, monkeypatch):
         import hammerprint.registry as registry_mod
