@@ -106,6 +106,11 @@ def _seed_literal(text: str) -> int:
     try:
         return int(text, 0)
     except ValueError:
+        # past 640 characters, the lowest digit limit CPython allows, int()
+        # may refuse a well-formed literal too; either way it is no seed
+        if len(text) > 640:
+            raise argparse.ArgumentTypeError(
+                f"a seed of {len(text)} characters is too long") from None
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
 
 

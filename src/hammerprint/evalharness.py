@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .challenge import DramChallenge, challenge_hash, default_challenge
-from .fingerprint import Fingerprint, _require_same_challenge, jaccard_prime, union_of
+from .fingerprint import Fingerprint, jaccard_prime, union_of
 from .registry import (
     FingerprintDataset,
     enroll,
@@ -111,15 +111,11 @@ def _delimited(columns, rows) -> str:
     return "\n".join([",".join(columns), *itertools.starmap(render, rows)]) + "\n"
 
 
-def _query_seeds(seed: int, n: int, tag: str = "") -> list[int]:
-    # str seeding is PYTHONHASHSEED-independent; tuple seeding is not
-    rng = random.Random(f"{seed}:{tag}")
-    return [rng.getrandbits(64) for _ in range(n)]
-
-
 def _make_queries(dev: SimDevice, ch: DramChallenge, seed: int, n: int,
                   tag: str = "") -> list[Fingerprint]:
-    return [run_query(dev, ch, s) for s in _query_seeds(seed, n, tag)]
+    # str seeding is PYTHONHASHSEED-independent; tuple seeding is not
+    rng = random.Random(f"{seed}:{tag}")
+    return [run_query(dev, ch, rng.getrandbits(64)) for _ in range(n)]
 
 
 def _pairing_values(new_queries: list[Fingerprint],
@@ -143,14 +139,9 @@ def _pairing_values(new_queries: list[Fingerprint],
     ``len(new.locations & union.locations)`` and each value is the same
     float ``jaccard_prime`` returns.
 
-    ``jaccard_prime`` itself scores the first case of each new query
-    (it raises for an empty one) and any case whose challenge differs
-    from the drawn database's (it raises the mismatch). So every error is
-    the one the set formula raises, at the same case. Each run of
-    consecutive cases of one combination first checks its members'
-    challenges as ``union_of`` does, and a union is built only where
-    ``jaccard_prime`` scores: at most once per run, and never for a run
-    whose cases are all popcounts.
+    Both pools are checked once, before any case is scored: a database
+    pool of mixed challenges raises, then the first new query that is
+    empty or of another challenge, even one no sampled case uses.
     """
     if d_size < 1:
         raise ExperimentError("d_size must be at least 1")
@@ -159,6 +150,12 @@ def _pairing_values(new_queries: list[Fingerprint],
     n_db = len(db_queries)
     if d_size > n_db - (1 if exclude_self else 0):
         raise ExperimentError("insufficient queries for the requested database size")
+    # The check goes through the set formula itself, so a faulty pool raises
+    # the class and message union_of and jaccard_prime raise, and a trace
+    # of the run still sees their spans.
+    pool = union_of(db_queries)
+    for fp in new_queries:
+        jaccard_prime(fp, pool)
     combos = list(itertools.combinations(range(n_db), d_size))
     cases = []
     for combo in combos:
@@ -177,26 +174,13 @@ def _pairing_values(new_queries: list[Fingerprint],
     new_bits = [bits_of(fp) for fp in new_queries]
     db_bits = [bits_of(fp) for fp in db_queries]
     new_sizes = [len(fp.locations) for fp in new_queries]
-    new_hashes = [fp.challenge_hash for fp in new_queries]
-    scored = set()  # new queries jaccard_prime has scored once
     out = []
     for combo, run in itertools.groupby(cases, key=itemgetter(0)):
-        members = [db_queries[k] for k in combo]
-        _require_same_challenge(*members)
-        db_hash = members[0].challenge_hash
-        db = None  # the run's union, built on the first case that needs it
         mask = 0
         for k in combo:
             mask |= db_bits[k]
         for _, i in run:
-            if i not in scored or new_hashes[i] != db_hash:
-                scored.add(i)
-                if db is None:
-                    db = union_of(members)
-                value = jaccard_prime(new_queries[i], db)
-            else:
-                value = (new_bits[i] & mask).bit_count() / new_sizes[i]
-            out.append((combo, i, value))
+            out.append((combo, i, (new_bits[i] & mask).bit_count() / new_sizes[i]))
     return out
 
 

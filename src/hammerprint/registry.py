@@ -210,7 +210,10 @@ def enroll(dataset: FingerprintDataset, dev_id: str, fp: Fingerprint) -> Fingerp
 # the record's count, any other directory that is not a symlink down to
 # none. A sweep removes each <k>.fp above its count, highest k first, so
 # the loader never meets a gap; other names (notes.fp, 0.fp, 01.fp) stay.
-# A save into any other directory removes nothing. Each file lands via
+# A save into any other directory removes nothing. Before writing anything,
+# a save refuses a record whose directory is also another entry of the
+# dataset directory (through a symlink): the two would share one set of
+# <k>.fp files and load as two devices. Each file lands via
 # write-temp-then-rename, so each file is replaced atomically. A whole save
 # is not: an interrupted save can leave some files new and others old, and
 # nothing is fsync'd.
@@ -234,6 +237,15 @@ def _write_atomic(path: str, content: str) -> None:
 def save_dataset(dataset: FingerprintDataset, directory: str) -> None:
     if not dataset.challenge_hash:  # load_dataset would refuse the meta
         raise DatasetError("cannot save a dataset without a challenge hash")
+    seen: dict[tuple[int, int], str] = {}  # (device, inode) -> the first entry that is it
+    for name in sorted(os.listdir(directory)) if os.path.isdir(directory) else ():
+        path = os.path.join(directory, name)
+        if os.path.isdir(path):  # followed, so a symlink is its target
+            st = os.stat(path)
+            other = seen.setdefault((st.st_dev, st.st_ino), name)
+            if other != name and (other in dataset.records or name in dataset.records):
+                raise DatasetError(f"{other!r} and {name!r} are one directory; "
+                                   "a device needs a directory of its own")
     # only a directory that was a dataset before holds files a save wrote
     was_dataset = os.path.exists(os.path.join(directory, META_NAME))
     os.makedirs(directory, exist_ok=True)

@@ -69,6 +69,17 @@ class TestSimulateNewDevice:
         assert err.endswith(f": error: argument {flag}: not an integer: 'xyz'\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--dimm-seed", "--host-seed"])
+    def test_seed_of_5000_digits_is_usage_error_without_echo(self, tmp_path, capsys, flag):
+        out = tmp_path / "d.prof"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "new-device", "--out", str(out), flag, "9" * 5000])
+        assert exc.value.code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.endswith(f": error: argument {flag}: a seed of 5000 characters is too long\n")
+        assert len(err) < 300
+        assert not out.exists()
+
     def test_seed_beyond_prf_encoding_is_usage_error(self, tmp_path, device_profile, capsys):
         big = tmp_path / "big.prof"
         too_big = ["simulate", "new-device", "--out", str(big), "--dimm-seed", "0x" + "f" * 40]
@@ -431,6 +442,21 @@ class TestEnrollIdentify:
             assert rc == cli.EXIT_CHALLENGE_MISMATCH
             assert capsys.readouterr().err == (
                 "error: fingerprint under 'dev-1' does not match the dataset challenge\n")
+
+    def test_enroll_into_an_aliased_device_directory_is_usage_error(self, tmp_path,
+                                                                    device_profile, capsys):
+        ds = tmp_path / "ds"
+        fp_path = write_fingerprint(tmp_path, device_profile, "q.fp", 19)
+        assert cli.main(["--dataset", str(ds), "enroll", str(fp_path)]) == 0
+        os.symlink(ds / "dev-1", ds / "dev-2")
+        before = {p: p.read_bytes() for p in (ds / "dataset.meta", ds / "dev-1" / "1.fp")}
+        capsys.readouterr()
+        assert cli.main(["--dataset", str(ds), "enroll", str(fp_path),
+                         "--id", "dev-2"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == ("error: 'dev-1' and 'dev-2' are one directory; "
+                                           "a device needs a directory of its own\n")
+        assert {p: p.read_bytes() for p in before} == before
+        assert sorted(os.listdir(ds / "dev-1")) == ["1.fp"]
 
     def test_meta_without_challenge_is_usage_error(self, tmp_path, device_profile, capsys):
         ds = tmp_path / "ds"

@@ -43,6 +43,22 @@ def block(start: int, n: int) -> set[FlipLocation]:
     return {loc(i) for i in range(start, start + n)}
 
 
+def tree(root) -> dict:
+    """Each path under root: a file's bytes, a symlink's target, None for a directory."""
+    out = {}
+    for dirpath, dirnames, filenames in os.walk(root):
+        for name in dirnames + filenames:
+            p = os.path.join(dirpath, name)
+            if os.path.islink(p):
+                out[p] = os.readlink(p)
+            elif os.path.isfile(p):
+                with open(p, "rb") as fh:
+                    out[p] = fh.read()
+            else:
+                out[p] = None
+    return out
+
+
 class TestGenerateNewId:
     def test_empty_dataset(self):
         assert generate_new_id(FingerprintDataset(H)) == "dev-1"
@@ -412,6 +428,38 @@ class TestPersistence:
         ds.records["dev-1"].fingerprints.pop()
         save_dataset(ds, str(path))
         assert os.listdir(outside) == ["1.fp"]
+        assert load_dataset(str(path)) == ds
+
+    @pytest.mark.parametrize("target, message", [
+        ("dev-1", "'dev-1' and 'dev-2' are one directory"),  # two records
+        ("stray", "'dev-2' and 'stray' are one directory"),  # a record and another entry
+    ])
+    def test_save_refuses_a_record_whose_directory_is_another_entry(self, tmp_path, target,
+                                                                    message):
+        path = tmp_path / "ds"
+        ds = FingerprintDataset(H)
+        enroll(ds, "dev-1", fp(block(0, 8)))
+        save_dataset(ds, str(path))
+        if target == "stray":
+            (path / "stray").mkdir()
+            (path / "stray" / "1.fp").write_text("kept\n")
+        os.symlink(path / target, path / "dev-2")
+        for start in (40, 44, 48):
+            enroll(ds, "dev-2", fp(block(start, 8)))
+        before = tree(tmp_path)
+        with pytest.raises(DatasetError, match=message):
+            save_dataset(ds, str(path))
+        assert tree(tmp_path) == before
+
+    def test_save_allows_two_entries_that_are_no_record_to_share_a_directory(self, tmp_path):
+        path = tmp_path / "ds"
+        ds = FingerprintDataset(H)
+        enroll(ds, "dev-1", fp(block(0, 8)))
+        save_dataset(ds, str(path))
+        (path / "stray").mkdir()
+        os.symlink(path / "stray", path / "link")
+        enroll(ds, "dev-1", fp(block(4, 8)))
+        save_dataset(ds, str(path))
         assert load_dataset(str(path)) == ds
 
     def test_interrupted_removal_leaves_a_loadable_dataset(self, tmp_path, monkeypatch):

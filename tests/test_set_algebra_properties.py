@@ -2,10 +2,11 @@
 
 ``FlipLocation`` is a validated 4-tuple; ``jaccard`` and
 ``_pairing_values`` must give exactly what plain set arithmetic gives,
-and ``_pairing_values`` must fail exactly where scoring each case with
-``jaccard_prime`` fails. A report's CSV and table must be the text of
-rendering each cell on its own, and a report column holding any kind
-but float, int or str, or a mix of kinds, is refused.
+and ``_pairing_values`` checks both pools once, through ``union_of``
+and ``jaccard_prime``, before it scores any case. A report's CSV and
+table must be the text of rendering each cell on its own, and a report
+column holding any kind but float, int or str, or a mix of kinds, is
+refused.
 """
 
 import copy
@@ -19,12 +20,11 @@ from hypothesis import given, settings, strategies as st
 from hammerprint import evalharness
 from hammerprint.evalharness import ExperimentError, ExperimentReport, _pairing_values
 from hammerprint.fingerprint import (
+    ChallengeMismatchError,
     Fingerprint,
     FingerprintError,
     FlipLocation,
     jaccard,
-    jaccard_prime,
-    union_of,
 )
 
 FEW = settings(max_examples=60, deadline=None)
@@ -163,76 +163,35 @@ def test_pairing_values_match_brute_force(args):
     assert got == want
 
 
-def counted_unions(monkeypatch, qs):
-    """Patch ``union_of``; the list it returns gains each union's combination."""
-    calls = []
-    real = evalharness.union_of
-
-    def counted(fps):
-        calls.append(tuple(next(k for k, q in enumerate(qs) if q is fp) for fp in fps))
-        return real(fps)
-
-    monkeypatch.setattr(evalharness, "union_of", counted)
-    return calls
-
-
 def seven_queries():
     rng = random.Random(3)
     return [Fingerprint({FlipLocation(0, 0, rng.randrange(50), 0) for _ in range(20)}, H)
             for _ in range(7)]
 
 
-def test_pairings_build_a_union_only_where_jaccard_prime_scores(monkeypatch):
+@pytest.mark.parametrize("max_cases", [25000, 30, 1])
+@pytest.mark.parametrize("exclude_self", [True, False])
+def test_pairings_check_each_pool_once_sampled_or_not(monkeypatch, max_cases, exclude_self):
     qs = seven_queries()
-    calls = counted_unions(monkeypatch, qs)
-    out = _pairing_values(qs, qs, 3, random.Random(0), 25000, exclude_self=True)
-    assert len(out) == 35 * 4
-    # the first combination without query i scores i's first case:
-    # queries 3-6 in (0,1,2), then 2, 1 and 0
-    assert calls == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    new_qs = qs if exclude_self else qs[:4]
+    calls = []
 
+    def recorded(name):
+        real = getattr(evalharness, name)
 
-def test_sampled_pairings_build_at_most_one_union_per_run(monkeypatch):
-    qs = seven_queries()
-    calls = counted_unions(monkeypatch, qs)
-    out = _pairing_values(qs, qs, 1, random.Random(2), 30, exclude_self=True)
-    assert len(out) == 30
-    seen, firsts = set(), []  # per run: its cases that score a new query first
-    for combo, run in itertools.groupby(out, key=lambda case: case[0]):
-        news = [i for _, i, _ in run]
-        firsts.append((combo, {i for i in news if i not in seen}))
-        seen.update(news)
-    assert max(len(f) for _, f in firsts) >= 2  # a run with two scored cases
-    assert calls == [combo for combo, f in firsts if f]
+        def call(*args):
+            calls.append((name, args))
+            return real(*args)
+        return call
 
-
-def set_pairing_values(new_queries, db_queries, d_size, rng, max_cases, exclude_self):
-    """The set-based ``_pairing_values``: a ``union_of`` per combination
-    and a ``jaccard_prime`` per case, with the same argument checks."""
-    if d_size < 1:
-        raise ExperimentError("d_size must be at least 1")
-    if max_cases < 1:
-        raise ExperimentError("max_cases must be at least 1")
-    n_db = len(db_queries)
-    if d_size > n_db - (1 if exclude_self else 0):
-        raise ExperimentError("insufficient queries for the requested database size")
-    combos = list(itertools.combinations(range(n_db), d_size))
-    cases = []
-    for combo in combos:
-        in_combo = set(combo)
-        for i in range(len(new_queries)):
-            if exclude_self and i in in_combo:
-                continue
-            cases.append((combo, i))
-    if len(cases) > max_cases:
-        cases = rng.sample(cases, max_cases)
-    out = []
-    db_combo = db = None
-    for combo, i in cases:
-        if combo != db_combo:
-            db_combo, db = combo, union_of([db_queries[k] for k in combo])
-        out.append((combo, i, jaccard_prime(new_queries[i], db)))
-    return out
+    for name in ("union_of", "jaccard_prime"):
+        monkeypatch.setattr(evalharness, name, recorded(name))
+    out = _pairing_values(new_qs, qs, 3, random.Random(0), max_cases, exclude_self)
+    assert len(out) == min(max_cases, 35 * 4)
+    (first, (pool_arg,)), *rest = calls
+    assert first == "union_of" and pool_arg is qs
+    assert [name for name, _ in rest] == ["jaccard_prime"] * len(new_qs)
+    assert all(args[0] is q for (_, args), q in zip(rest, new_qs))
 
 
 OTHER = "b" * 64
@@ -255,18 +214,34 @@ def faulty_pairing_inputs(draw):
     return new_qs, db_qs, d_size, seed, max_cases, exclude_self
 
 
-def outcome(pairings, args):
-    new_qs, db_qs, d_size, seed, max_cases, exclude_self = args
-    try:
-        return pairings(new_qs, db_qs, d_size, random.Random(seed), max_cases, exclude_self)
-    except (FingerprintError, ExperimentError) as exc:
-        return type(exc), str(exc)
+def check_once_error(new_qs, db_qs, d_size, exclude_self):
+    """The rule, written out: the argument check, then the database pool's
+    mixed challenge, then the first new query of another challenge or empty."""
+    if d_size > len(db_qs) - (1 if exclude_self else 0):
+        return ExperimentError, "insufficient queries for the requested database size"
+    hashes = {q.challenge_hash for q in db_qs}
+    if len(hashes) > 1:
+        return ChallengeMismatchError, f"mixed challenge hashes: {sorted(hashes)}"
+    for q in new_qs:
+        if q.challenge_hash not in hashes:
+            both = sorted(hashes | {q.challenge_hash})
+            return ChallengeMismatchError, f"mixed challenge hashes: {both}"
+        if not q.locations:
+            return FingerprintError, "empty new-query fingerprint"
+    return None
 
 
 @settings(max_examples=300, deadline=None)
 @given(faulty_pairing_inputs())
-def test_pairing_values_fail_exactly_like_the_set_formula(args):
-    assert outcome(_pairing_values, args) == outcome(set_pairing_values, args)
+def test_pairing_values_check_both_pools_before_scoring(args):
+    new_qs, db_qs, d_size, seed, max_cases, exclude_self = args
+    want = check_once_error(new_qs, db_qs, d_size, exclude_self)
+    try:
+        _pairing_values(new_qs, db_qs, d_size, random.Random(seed), max_cases, exclude_self)
+    except (FingerprintError, ExperimentError) as exc:
+        assert (type(exc), str(exc)) == want
+    else:
+        assert want is None
 
 
 # --- ExperimentReport.to_delimited and to_table -------------------------------------
