@@ -180,7 +180,7 @@ def identify(dataset: FingerprintDataset, f_u: Fingerprint,
     return IdentifyResult(best_id, "matched", best_sim)
 
 
-def enroll(dataset: FingerprintDataset, dev_id: str, fp: Fingerprint) -> FingerprintDataset:
+def enroll(dataset: FingerprintDataset, dev_id: str, fp: Fingerprint) -> None:
     """Append a fingerprint to a device record, creating the record if new.
 
     The id names the device's directory in a saved dataset, so it must be
@@ -197,26 +197,23 @@ def enroll(dataset: FingerprintDataset, dev_id: str, fp: Fingerprint) -> Fingerp
         dataset.records[dev_id] = DeviceRecord(dev_id, [fp])
     else:
         record.fingerprints.append(fp)
-    return dataset
 
 
 # --- persistence -------------------------------------------------------------
 #
 # Layout: <dir>/dataset.meta plus one fingerprint file per enrolled entry,
-# <dir>/<id>/<k>.fp with k = 1..n in enroll order. Loading reads exactly
-# those names and refuses any other .fp name or a gap. A save into a
-# directory that already holds a dataset.meta, once every file is written,
-# sweeps each entry of it once: a record's directory (a symlink too) down to
-# the record's count, any other directory that is not a symlink down to
-# none. A sweep removes each <k>.fp above its count, highest k first, so
-# the loader never meets a gap; other names (notes.fp, 0.fp, 01.fp) stay.
-# A save into any other directory removes nothing. Before writing anything,
-# a save refuses a record whose directory is also another entry of the
-# dataset directory (through a symlink): the two would share one set of
-# <k>.fp files and load as two devices. Each file lands via
-# write-temp-then-rename, so each file is replaced atomically. A whole save
-# is not: an interrupted save can leave some files new and others old, and
-# nothing is fsync'd.
+# <dir>/<id>/<k>.fp with k = 1..n in enroll order. A device directory is
+# never a symlink: a save refuses a record whose <dir>/<id> is one, a load
+# a symlink that holds a .fp name. Loading reads exactly the saved names
+# and refuses any other .fp name or a gap. A save into a directory that
+# already holds a dataset.meta, once every file is written, sweeps each
+# real directory in it down to its record's count, or to none. A sweep
+# removes each <k>.fp above its count, highest k first, so the loader
+# never meets a gap; other names (notes.fp, 0.fp, 01.fp) stay. A save into
+# any other directory removes nothing. Each file lands via
+# write-temp-then-rename, mode 0600 from mkstemp, so each file is replaced
+# atomically. A whole save is not: an interrupted save can leave some
+# files new and others old, and nothing is fsync'd.
 
 META_NAME = "dataset.meta"
 _SAVED_NAME = re.compile(r"([1-9][0-9]*)\.fp")  # the <k>.fp names a save writes
@@ -234,18 +231,16 @@ def _write_atomic(path: str, content: str) -> None:
             os.unlink(tmp)
 
 
+def _symlinked(name: str) -> DatasetError:
+    return DatasetError(f"{name!r} is a symlink; a device needs a directory of its own")
+
+
 def save_dataset(dataset: FingerprintDataset, directory: str) -> None:
     if not dataset.challenge_hash:  # load_dataset would refuse the meta
         raise DatasetError("cannot save a dataset without a challenge hash")
-    seen: dict[tuple[int, int], str] = {}  # (device, inode) -> the first entry that is it
-    for name in sorted(os.listdir(directory)) if os.path.isdir(directory) else ():
-        path = os.path.join(directory, name)
-        if os.path.isdir(path):  # followed, so a symlink is its target
-            st = os.stat(path)
-            other = seen.setdefault((st.st_dev, st.st_ino), name)
-            if other != name and (other in dataset.records or name in dataset.records):
-                raise DatasetError(f"{other!r} and {name!r} are one directory; "
-                                   "a device needs a directory of its own")
+    for dev_id in sorted(dataset.records):
+        if os.path.islink(os.path.join(directory, dev_id)):  # dangling ones too
+            raise _symlinked(dev_id)
     # only a directory that was a dataset before holds files a save wrote
     was_dataset = os.path.exists(os.path.join(directory, META_NAME))
     os.makedirs(directory, exist_ok=True)
@@ -255,17 +250,14 @@ def save_dataset(dataset: FingerprintDataset, directory: str) -> None:
         os.makedirs(dev_dir, exist_ok=True)
         for k, fp in enumerate(dataset.records[dev_id].fingerprints, start=1):
             _write_atomic(os.path.join(dev_dir, f"{k}.fp"), encode_fingerprint(fp))
-    for name in os.listdir(directory) if was_dataset else ():
-        dev_dir = os.path.join(directory, name)
-        if name in dataset.records:
-            count = len(dataset.records[name].fingerprints)
-        elif os.path.isdir(dev_dir) and not os.path.islink(dev_dir):
-            count = 0
-        else:
+    for entry in list(os.scandir(directory)) if was_dataset else ():
+        if not entry.is_dir(follow_symlinks=False):  # a file or a symlink
             continue
-        ks = [int(m[1]) for m in map(_SAVED_NAME.fullmatch, os.listdir(dev_dir)) if m]
+        record = dataset.records.get(entry.name)
+        count = len(record.fingerprints) if record else 0
+        ks = [int(m[1]) for m in map(_SAVED_NAME.fullmatch, os.listdir(entry.path)) if m]
         for k in sorted((k for k in ks if k > count), reverse=True):
-            os.remove(os.path.join(dev_dir, f"{k}.fp"))
+            os.remove(os.path.join(entry.path, f"{k}.fp"))
     _write_atomic(os.path.join(directory, META_NAME), meta)
 
 
@@ -293,6 +285,8 @@ def load_dataset(directory: str) -> FingerprintDataset:
             names = {name for name in os.listdir(dev_dir) if name.endswith(".fp")}
             if not names:
                 continue  # an enroll interrupted before its first file landed
+            if os.path.islink(dev_dir):
+                raise _symlinked(dev_id)
             expected = [f"{k}.fp" for k in range(1, len(names) + 1)]
             if names != set(expected):
                 raise DatasetError(

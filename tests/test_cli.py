@@ -453,10 +453,32 @@ class TestEnrollIdentify:
         capsys.readouterr()
         assert cli.main(["--dataset", str(ds), "enroll", str(fp_path),
                          "--id", "dev-2"]) == cli.EXIT_USAGE
-        assert capsys.readouterr().err == ("error: 'dev-1' and 'dev-2' are one directory; "
+        assert capsys.readouterr().err == ("error: 'dev-2' is a symlink; "
                                            "a device needs a directory of its own\n")
         assert {p: p.read_bytes() for p in before} == before
         assert sorted(os.listdir(ds / "dev-1")) == ["1.fp"]
+
+    @pytest.mark.parametrize("link", ["dev-2", "captures"])
+    def test_symlinked_device_directory_is_usage_error(self, tmp_path, device_profile, capsys,
+                                                       link):
+        # "dev-2" links to dev-1; "captures" to the user's own commented 1.fp
+        ds = tmp_path / "ds"
+        fp_path = write_fingerprint(tmp_path, device_profile, "q.fp", 19)
+        assert cli.main(["--dataset", str(ds), "enroll", str(fp_path)]) == 0
+        captures = tmp_path / "captures"
+        captures.mkdir()
+        (captures / "1.fp").write_text("# my capture\n" + fp_path.read_text())
+        os.symlink(ds / "dev-1" if link == "dev-2" else captures, ds / link)
+        files = [ds / "dataset.meta", ds / "dev-1" / "1.fp", captures / "1.fp"]
+        before = {p: p.read_bytes() for p in files}
+        capsys.readouterr()
+        for command in ("identify", "enroll"):
+            assert cli.main(["--dataset", str(ds), command, str(fp_path)]) == cli.EXIT_USAGE
+            assert capsys.readouterr().err == (f"error: {link!r} is a symlink; "
+                                               "a device needs a directory of its own\n")
+        assert {p: p.read_bytes() for p in files} == before
+        assert sorted(os.listdir(ds)) == sorted(["dataset.meta", "dev-1", link])
+        assert os.listdir(ds / "dev-1") == os.listdir(captures) == ["1.fp"]
 
     def test_meta_without_challenge_is_usage_error(self, tmp_path, device_profile, capsys):
         ds = tmp_path / "ds"

@@ -1,8 +1,12 @@
+import copy
 import gc
 import os
 import shutil
+import stat
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hammerprint.challenge import default_challenge, challenge_hash
 from hammerprint.fingerprint import (
@@ -10,6 +14,7 @@ from hammerprint.fingerprint import (
     Fingerprint,
     FingerprintError,
     FlipLocation,
+    encode_fingerprint,
     jaccard,
     jaccard_prime,
     union_of,
@@ -41,6 +46,12 @@ def loc(i: int) -> FlipLocation:
 
 def block(start: int, n: int) -> set[FlipLocation]:
     return {loc(i) for i in range(start, start + n)}
+
+
+def write_capture(directory) -> None:
+    """A user's own 1.fp, with a comment that no save writes."""
+    with open(os.path.join(directory, "1.fp"), "w", encoding="utf-8") as fh:
+        fh.write("# my capture\n" + encode_fingerprint(fp(block(0, 8))))
 
 
 def tree(root) -> dict:
@@ -414,28 +425,44 @@ class TestPersistence:
         save_dataset(ds, str(path))
         assert os.listdir(outside) == ["1.fp"]
 
-    def test_save_writes_and_sweeps_a_record_through_its_symlink(self, tmp_path):
-        outside = tmp_path / "outside"
-        outside.mkdir()
+    @pytest.mark.parametrize("target", ["captures", "gone"])
+    def test_save_refuses_a_record_whose_directory_is_a_symlink(self, tmp_path, target):
+        # "captures" holds the user's own commented 1.fp; "gone" does not exist
+        captures = tmp_path / "captures"
+        captures.mkdir()
+        write_capture(captures)
         path = tmp_path / "ds"
-        save_dataset(FingerprintDataset(H), str(path))  # a dataset.meta and no record
-        os.symlink(outside, path / "dev-1")
         ds = FingerprintDataset(H)
-        enroll(ds, "dev-1", fp(block(0, 8)))
-        enroll(ds, "dev-1", fp(block(4, 8)))
+        enroll(ds, "dev-1", fp(block(40, 8)))
         save_dataset(ds, str(path))
-        assert sorted(os.listdir(outside)) == ["1.fp", "2.fp"]
-        ds.records["dev-1"].fingerprints.pop()
-        save_dataset(ds, str(path))
-        assert os.listdir(outside) == ["1.fp"]
-        assert load_dataset(str(path)) == ds
+        os.symlink(tmp_path / target, path / "dev-2")
+        enroll(ds, "dev-2", fp(block(0, 8)))
+        before = tree(tmp_path)
+        with pytest.raises(DatasetError, match="'dev-2' is a symlink; a device needs a "
+                                               "directory of its own"):
+            save_dataset(ds, str(path))
+        assert tree(tmp_path) == before
 
-    @pytest.mark.parametrize("target, message", [
-        ("dev-1", "'dev-1' and 'dev-2' are one directory"),  # two records
-        ("stray", "'dev-2' and 'stray' are one directory"),  # a record and another entry
-    ])
-    def test_save_refuses_a_record_whose_directory_is_another_entry(self, tmp_path, target,
-                                                                    message):
+    @pytest.mark.parametrize("target", ["dev-1", "captures"])
+    def test_load_refuses_a_symlinked_device_directory(self, tmp_path, target):
+        captures = tmp_path / "captures"
+        captures.mkdir()
+        write_capture(captures)
+        path = tmp_path / "ds"
+        ds = FingerprintDataset(H)
+        enroll(ds, "dev-1", fp(block(40, 8)))
+        save_dataset(ds, str(path))
+        os.symlink(path / "dev-1" if target == "dev-1" else captures, path / "dev-2")
+        with pytest.raises(DatasetError, match="'dev-2' is a symlink"):
+            load_dataset(str(path))
+        kept = (captures / "1.fp").read_bytes()
+        enroll(ds, "dev-1", fp(block(44, 8)))
+        save_dataset(ds, str(path))  # the sweep leaves what is behind a symlink alone
+        assert (captures / "1.fp").read_bytes() == kept
+        assert sorted(os.listdir(path / "dev-1")) == ["1.fp", "2.fp"]
+
+    @pytest.mark.parametrize("target", ["dev-1", "stray"])  # a record, or another entry
+    def test_save_refuses_a_record_whose_directory_is_another_entry(self, tmp_path, target):
         path = tmp_path / "ds"
         ds = FingerprintDataset(H)
         enroll(ds, "dev-1", fp(block(0, 8)))
@@ -447,7 +474,8 @@ class TestPersistence:
         for start in (40, 44, 48):
             enroll(ds, "dev-2", fp(block(start, 8)))
         before = tree(tmp_path)
-        with pytest.raises(DatasetError, match=message):
+        with pytest.raises(DatasetError, match="'dev-2' is a symlink; a device needs a "
+                                               "directory of its own"):
             save_dataset(ds, str(path))
         assert tree(tmp_path) == before
 
@@ -461,6 +489,20 @@ class TestPersistence:
         enroll(ds, "dev-1", fp(block(4, 8)))
         save_dataset(ds, str(path))
         assert load_dataset(str(path)) == ds
+
+    def test_save_writes_every_file_mode_0600_whatever_the_umask(self, tmp_path):
+        ds = FingerprintDataset(H)
+        enroll(ds, "dev-1", fp(block(0, 8)))
+        enroll(ds, "dev-1", fp(block(4, 8)))
+        enroll(ds, "dev-2", fp(block(40, 8)))
+        path = tmp_path / "ds"
+        umask = os.umask(0)  # a plain open() would make mode 0666
+        try:
+            save_dataset(ds, str(path))
+        finally:
+            os.umask(umask)
+        modes = {p: stat.S_IMODE(os.stat(p).st_mode) for p, data in tree(path).items() if data}
+        assert len(modes) == 4 and set(modes.values()) == {0o600}
 
     def test_interrupted_removal_leaves_a_loadable_dataset(self, tmp_path, monkeypatch):
         import hammerprint.registry as registry_mod
@@ -557,3 +599,63 @@ class TestPersistence:
 def test_record_refuses_mixed_challenge_hashes(hashes):
     with pytest.raises(DatasetError, match="device 'dev-1' mixes challenge hashes"):
         DeviceRecord("dev-1", [fp(block(10 * i, 10), h) for i, h in enumerate(hashes)])
+
+
+# (kind, claimed, holds_fp, n) per entry e<i> of the dataset directory. kind
+# "record" is a real record directory with n % 3 + 1 fingerprints, dropped
+# from the second save unless claimed; the other kinds are symlinks, to
+# record n (dangling if there is none), to a stray directory beside the
+# records, or to a directory outside the dataset; the last two hold a
+# commented 1.fp when holds_fp. A claimed symlink is enrolled into before
+# the second save.
+entries = st.lists(st.tuples(st.sampled_from(["record", "to_record", "to_stray", "to_outside"]),
+                             st.booleans(), st.booleans(), st.integers(0, 4)), max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(entries)
+def test_a_symlinked_entry_never_loads_as_a_device_nor_changes_outside_files(entries):
+    with tempfile.TemporaryDirectory() as root:
+        path, outside = os.path.join(root, "ds"), os.path.join(root, "outside")
+        os.mkdir(outside)
+        names = [f"e{i}" for i in range(len(entries))]
+        first = FingerprintDataset(H)
+        for i, (kind, _, _, n) in enumerate(entries):
+            for k in range(n % 3 + 1 if kind == "record" else 0):
+                enroll(first, names[i], fp(block(10 * i + k, 8)))
+        save_dataset(first, path)
+        second, records, links = copy.deepcopy(first), sorted(first.records), []
+        for i, (kind, claimed, holds_fp, n) in enumerate(entries):
+            if kind == "record":
+                if not claimed:
+                    del second.records[names[i]]
+                continue
+            if kind == "to_record":
+                target = os.path.join(path, records[n % len(records)] if records else "gone")
+            else:
+                target = os.path.join(path if kind == "to_stray" else outside, f"t{i}")
+                os.mkdir(target)
+                if holds_fp:
+                    write_capture(target)
+            os.symlink(target, os.path.join(path, names[i]))
+            if claimed:
+                enroll(second, names[i], fp(block(10 * i + 5, 8)))
+                links.append(names[i])
+        before, outside_before = tree(root), tree(outside)
+        if links:
+            with pytest.raises(DatasetError, match=f"^{links[0]!r} is a symlink"):
+                save_dataset(second, path)
+            assert tree(root) == before
+            saved = first
+        else:
+            save_dataset(second, path)
+            saved = second
+        holding = [name for name in sorted(os.listdir(path))
+                   if os.path.islink(p := os.path.join(path, name)) and os.path.isdir(p)
+                   and any(f.endswith(".fp") for f in os.listdir(p))]
+        if holding:
+            with pytest.raises(DatasetError, match=f"^{holding[0]!r} is a symlink"):
+                load_dataset(path)
+        else:
+            assert load_dataset(path) == saved
+        assert tree(outside) == outside_before
