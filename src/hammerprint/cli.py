@@ -162,10 +162,7 @@ def cmd_identify(args) -> int:
 def cmd_enroll(args) -> int:
     directory = _dataset_dir(args)
     fp = decode_fingerprint(_read_text(args.fingerprint))
-    if os.path.exists(os.path.join(directory, registry.META_NAME)):
-        dataset = registry.load_dataset(directory)
-    else:
-        dataset = registry.FingerprintDataset(fp.challenge_hash)
+    dataset = registry.open_dataset(directory, fp.challenge_hash)
     dev_id = args.id if args.id is not None else registry.generate_new_id(dataset)
     registry.enroll(dataset, dev_id, fp)
     registry.save_dataset(dataset, directory)

@@ -22,6 +22,7 @@ import re
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .codec import read_profile
 from .fingerprint import (
@@ -139,14 +140,27 @@ def get_similarity(f_u: Fingerprint, record: DeviceRecord) -> float:
 
 def generate_new_id(dataset: FingerprintDataset) -> str:
     """Next free id: dev-<n> with n one past the highest existing index, and
-    no lower than the loaded ``id_counter``, so a deleted id is not reused."""
+    no lower than the loaded ``id_counter``, so a deleted id is not reused.
+    A load also raises that floor past every dev-<n> that a file or a
+    symlink in the dataset directory holds."""
     return f"dev-{_next_index(dataset)}"
 
 
 def _next_index(dataset: FingerprintDataset) -> int:
+    return max(dataset._id_counter, _one_past(dataset.records))
+
+
+def _one_past(names) -> int:
+    """One past the highest n among the names dev-<n>, or 1 if there is none."""
     # isdecimal, not isdigit: exactly the Unicode digits (Nd) that int reads
-    indices = (int(d[4:]) for d in dataset.records if d[:4] == "dev-" and d[4:].isdecimal())
-    return max(dataset._id_counter, max(indices, default=0) + 1)
+    return max((int(d[4:]) for d in names if d[:4] == "dev-" and d[4:].isdecimal()),
+               default=0) + 1
+
+
+def _one_past_taken(entries) -> int:
+    """``_one_past`` of the entries that are a file or a symlink, dangling ones
+    too: no save can put a record under their names."""
+    return _one_past(e.name for e in entries if not e.is_dir(follow_symlinks=False))
 
 
 DEFAULT_THRESHOLD = 0.4
@@ -214,6 +228,13 @@ def enroll(dataset: FingerprintDataset, dev_id: str, fp: Fingerprint) -> None:
 # write-temp-then-rename, mode 0600 from mkstemp, so each file is replaced
 # atomically. A whole save is not: an interrupted save can leave some
 # files new and others old, and nothing is fsync'd.
+#
+# A load keeps one object per distinct location of a device: each file's
+# locations are the objects the device's earlier files decoded, so a
+# device's memory grows with its distinct flips, not with fingerprints
+# times flips. New ids pass every dev-<n> that a file or a symlink in the
+# directory holds, dangling ones too, since no save can put a record
+# there; a real directory without a .fp name may be reused.
 
 META_NAME = "dataset.meta"
 _SAVED_NAME = re.compile(r"([1-9][0-9]*)\.fp")  # the <k>.fp names a save writes
@@ -277,29 +298,47 @@ def load_dataset(directory: str) -> FingerprintDataset:
         dataset._id_counter = int(counter)
     except ValueError:  # more digits than int() converts
         raise DatasetError(f"dataset.meta id_counter has {len(counter)} digits") from None
+    with os.scandir(directory) as listing:
+        entries = sorted(listing, key=attrgetter("name"))
+    dataset._id_counter = max(dataset._id_counter, _one_past_taken(entries))
     with _collector_paused():
-        for dev_id in sorted(os.listdir(directory)):
-            dev_dir = os.path.join(directory, dev_id)
-            if not os.path.isdir(dev_dir):
+        for entry in entries:
+            dev_id, dev_dir = entry.name, entry.path
+            if not entry.is_dir():
                 continue
             names = {name for name in os.listdir(dev_dir) if name.endswith(".fp")}
             if not names:
                 continue  # an enroll interrupted before its first file landed
-            if os.path.islink(dev_dir):
+            if entry.is_symlink():
                 raise _symlinked(dev_id)
             expected = [f"{k}.fp" for k in range(1, len(names) + 1)]
             if names != set(expected):
                 raise DatasetError(
                     f"{dev_id!r} holds {sorted(names)}, not 1.fp..{len(names)}.fp")
-            fps = []
+            fps, seen = [], {}  # seen: each location of this device, as first decoded
             for name in expected:
                 with open(os.path.join(dev_dir, name), encoding="utf-8") as fh:
-                    fps.append(decode_fingerprint(fh.read()))
+                    fp = decode_fingerprint(fh.read())
+                locs = frozenset(map(seen.setdefault, fp.locations, fp.locations))
+                fps.append(Fingerprint(locs, fp.challenge_hash, fp.device_hint, fp.query_time))
             for fp in fps:
                 if fp.challenge_hash != dataset.challenge_hash:
                     raise ChallengeMismatchError(
                         f"fingerprint under {dev_id!r} does not match the dataset challenge")
             dataset.records[dev_id] = DeviceRecord(dev_id, fps)
+    return dataset
+
+
+def open_dataset(directory: str, challenge_hash: str) -> FingerprintDataset:
+    """The dataset saved in ``directory``, or, where it holds no
+    dataset.meta, an empty one of ``challenge_hash`` whose new ids pass its
+    entries by ``load_dataset``'s rule."""
+    if os.path.exists(os.path.join(directory, META_NAME)):
+        return load_dataset(directory)
+    dataset = FingerprintDataset(challenge_hash)
+    if os.path.isdir(directory):
+        with os.scandir(directory) as listing:
+            dataset._id_counter = _one_past_taken(listing)
     return dataset
 
 

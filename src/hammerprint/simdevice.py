@@ -245,7 +245,15 @@ def access_time(dev: SimDevice, a: int, b: int, rng_seed: int) -> float:
     if da.bank == db.bank and da.row != db.row:
         lat += dev.noise.timing_conflict_gap
     if dev.noise.timing_sigma > 0:
-        rng = random.Random(_prf("time", dev.device_key, rng_seed, a, b))
+        try:
+            rng = random.Random(_prf("time", dev.device_key, rng_seed, a, b))
+        except DeviceError:
+            width = max(a.bit_length(), b.bit_length())
+            if width <= 135:  # the addresses fit, so rng_seed does not
+                raise
+            raise DeviceError(f"probe address of {width} bits (address_bits="
+                              f"{dev.geom.address_bits}) does not fit the PRF's "
+                              "17-byte signed encoding") from None
         lat += rng.gauss(0.0, dev.noise.timing_sigma)
     return lat
 

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -47,3 +48,19 @@ def small_challenge(kind=PatternKind.N_SIDED, n=6, banks=(0, 1), measurements=3,
         data=DataPattern(0x55, 0xAA),
         measurements=measurements,
     )
+
+
+def tree(root) -> dict:
+    """Each path under root: a file's bytes, a symlink's target, None for a directory."""
+    out = {}
+    for dirpath, dirnames, filenames in os.walk(root):
+        for name in dirnames + filenames:
+            p = os.path.join(dirpath, name)
+            if os.path.islink(p):
+                out[p] = os.readlink(p)
+            elif os.path.isfile(p):
+                with open(p, "rb") as fh:
+                    out[p] = fh.read()
+            else:
+                out[p] = None
+    return out

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import tree
 from hammerprint import cli, gf2
 from hammerprint.challenge import (
     DataPattern,
@@ -480,6 +481,45 @@ class TestEnrollIdentify:
         assert sorted(os.listdir(ds)) == sorted(["dataset.meta", "dev-1", link])
         assert os.listdir(ds / "dev-1") == os.listdir(captures) == ["1.fp"]
 
+    @pytest.mark.parametrize("kind", ["file", "dangling"])
+    def test_new_ids_pass_a_file_or_dangling_symlink_named_dev_n(self, tmp_path, device_profile,
+                                                               capsys, kind):
+        ds = tmp_path / "ds"
+        fp_path = write_fingerprint(tmp_path, device_profile, "q.fp", 19)
+        assert cli.main(["--dataset", str(ds), "enroll", str(fp_path)]) == 0
+        if kind == "file":
+            (ds / "dev-2").write_text("mine\n")
+        else:
+            os.symlink(tmp_path / "gone", ds / "dev-2")
+        other_prof = tmp_path / "other.prof"
+        cli.main(["--seed", "777", "simulate", "new-device", "--out", str(other_prof)])
+        other_fp = write_fingerprint(tmp_path, other_prof, "o.fp", 32)
+        before = tree(ds)
+        capsys.readouterr()
+        assert cli.main(["--dataset", str(ds), "identify", str(other_fp)]) == cli.EXIT_NEW_DEVICE
+        assert capsys.readouterr().out == "new dev-3\n"
+        assert cli.main(["--dataset", str(ds), "enroll", str(other_fp),
+                         "--id", "dev-2"]) == cli.EXIT_USAGE
+        assert tree(ds) == before
+        assert cli.main(["--dataset", str(ds), "enroll", str(other_fp)]) == cli.EXIT_OK
+        assert capsys.readouterr().out.startswith("enrolled dev-3 (k=1, ")
+        after = tree(ds)
+        assert after.pop(str(ds / "dataset.meta")).endswith(b"\nid_counter=4\n")
+        assert after.pop(str(ds / "dev-3")) is None and after.pop(str(ds / "dev-3" / "1.fp"))
+        del before[str(ds / "dataset.meta")]
+        assert after == before
+
+    def test_first_enroll_mints_past_a_file_named_dev_1(self, tmp_path, device_profile, capsys):
+        ds = tmp_path / "runs"
+        ds.mkdir()
+        (ds / "dev-1").write_text("mine\n")
+        fp_path = write_fingerprint(tmp_path, device_profile, "q.fp", 19)
+        capsys.readouterr()
+        assert cli.main(["--dataset", str(ds), "enroll", str(fp_path)]) == cli.EXIT_OK
+        assert capsys.readouterr().out.startswith("enrolled dev-2 (k=1, ")
+        assert (ds / "dev-1").read_text() == "mine\n"
+        assert sorted(os.listdir(ds)) == ["dataset.meta", "dev-1", "dev-2"]
+
     def test_meta_without_challenge_is_usage_error(self, tmp_path, device_profile, capsys):
         ds = tmp_path / "ds"
         fp_path = write_fingerprint(tmp_path, device_profile, "q.fp", 18)
@@ -577,6 +617,20 @@ class TestReverseMap:
                 assert err.startswith("error: ") and "finite" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["device.prof", "inf.prof",
                                                               "nan.prof"]
+
+    def test_probe_address_too_wide_for_the_prf_is_named(self, tmp_path, device_profile,
+                                                         capsys):
+        wide = tmp_path / "wide.prof"
+        wide.write_text(device_profile.read_text().replace("address_bits=36",
+                                                           "address_bits=100000"))
+        out = tmp_path / "map.txt"
+        rc = cli.main(["reverse-map", "--device", str(wide), "--out", str(out)])
+        assert rc == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: probe address of 100000 bits (address_bits=100000) does not fit "
+            "the PRF's 17-byte signed encoding\n")
+        assert not out.exists()
+        write_fingerprint(tmp_path, wide, "q.fp", 19)
 
     def test_impossible_probe_plan_is_usage_error(self, tmp_path, device_profile, capsys):
         out = tmp_path / "map.txt"

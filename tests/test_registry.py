@@ -8,6 +8,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import tree
 from hammerprint.challenge import default_challenge, challenge_hash
 from hammerprint.fingerprint import (
     ChallengeMismatchError,
@@ -29,6 +30,7 @@ from hammerprint.registry import (
     get_similarity,
     identify,
     load_dataset,
+    open_dataset,
     save_dataset,
 )
 from hammerprint.simdevice import new_sim_device, run_query
@@ -52,22 +54,6 @@ def write_capture(directory) -> None:
     """A user's own 1.fp, with a comment that no save writes."""
     with open(os.path.join(directory, "1.fp"), "w", encoding="utf-8") as fh:
         fh.write("# my capture\n" + encode_fingerprint(fp(block(0, 8))))
-
-
-def tree(root) -> dict:
-    """Each path under root: a file's bytes, a symlink's target, None for a directory."""
-    out = {}
-    for dirpath, dirnames, filenames in os.walk(root):
-        for name in dirnames + filenames:
-            p = os.path.join(dirpath, name)
-            if os.path.islink(p):
-                out[p] = os.readlink(p)
-            elif os.path.isfile(p):
-                with open(p, "rb") as fh:
-                    out[p] = fh.read()
-            else:
-                out[p] = None
-    return out
 
 
 class TestGenerateNewId:
@@ -594,6 +580,60 @@ class TestPersistence:
         assert after.records["dev-1"].fingerprints == before.records["dev-1"].fingerprints
         assert generate_new_id(after) == "dev-2"
 
+    def test_load_keeps_one_object_per_distinct_location_of_a_device(self, tmp_path):
+        ch = default_challenge()
+        ds = FingerprintDataset(challenge_hash(ch))
+        for dimm in (1, 2):
+            dev = new_sim_device(dimm, 2)
+            for seed in (3, 4, 5):
+                enroll(ds, f"dev-{dimm}", run_query(dev, ch, seed))
+        path = str(tmp_path / "ds")
+        save_dataset(ds, path)
+        loaded = load_dataset(path)
+        assert loaded == ds
+        for rec in loaded.records.values():
+            objects = [x for f in rec.fingerprints for x in f.locations]
+            assert all(type(x) is FlipLocation for x in objects)
+            # the queries overlap, so a load without sharing holds more objects
+            assert len(objects) > len(union_of(rec.fingerprints).locations)
+            assert len(set(map(id, objects))) == len(union_of(rec.fingerprints).locations)
+
+    @pytest.mark.parametrize("kind", ["file", "symlink", "dangling", "directory"])
+    def test_new_ids_pass_a_file_or_symlink_named_dev_n(self, tmp_path, kind):
+        ds = FingerprintDataset(H)
+        enroll(ds, "dev-1", fp(block(0, 8)))
+        path = tmp_path / "ds"
+        save_dataset(ds, str(path))
+        entry, elsewhere = path / "dev-2", tmp_path / "elsewhere"
+        if kind == "file":
+            entry.write_text("mine\n")
+        elif kind == "directory":  # what an enroll interrupted before its first file leaves
+            entry.mkdir()
+        else:
+            if kind == "symlink":
+                elsewhere.mkdir()
+            os.symlink(elsewhere, entry)
+        loaded = load_dataset(str(path))
+        assert loaded == ds
+        assert generate_new_id(loaded) == ("dev-2" if kind == "directory" else "dev-3")
+        entry.rename(tmp_path / "dev-2")
+        assert generate_new_id(load_dataset(str(path))) == "dev-2"
+
+    def test_open_dataset_mints_past_entries_without_a_meta(self, tmp_path):
+        path = tmp_path / "runs"
+        assert open_dataset(str(path), H) == FingerprintDataset(H)
+        assert generate_new_id(open_dataset(str(path), H)) == "dev-1"
+        path.mkdir()
+        (path / "dev-4").write_text("mine\n")
+        os.symlink(tmp_path / "gone", path / "dev-6")
+        (path / "dev-9").mkdir()
+        assert generate_new_id(open_dataset(str(path), H)) == "dev-7"
+        ds = FingerprintDataset(H)
+        enroll(ds, "dev-1", fp(block(0, 8)))
+        save_dataset(ds, str(path))
+        assert open_dataset(str(path), "d" * 64) == ds
+        assert generate_new_id(open_dataset(str(path), H)) == "dev-7"
+
 
 @pytest.mark.parametrize("hashes", [(H, "d" * 64), ("d" * 64, H, H)])
 def test_record_refuses_mixed_challenge_hashes(hashes):
@@ -657,5 +697,9 @@ def test_a_symlinked_entry_never_loads_as_a_device_nor_changes_outside_files(ent
             with pytest.raises(DatasetError, match=f"^{holding[0]!r} is a symlink"):
                 load_dataset(path)
         else:
-            assert load_dataset(path) == saved
+            loaded = load_dataset(path)
+            assert loaded == saved
+            queries = [f for rec in saved.records.values() for f in rec.fingerprints]
+            for q in [*queries, fp(block(3, 8))]:
+                assert identify(loaded, q) == identify(saved, q)
         assert tree(outside) == outside_before

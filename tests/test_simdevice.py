@@ -224,6 +224,17 @@ class TestAccessTime:
             dev = new_sim_device(5, 6, geom=geom)
         assert repr(access_time(dev, a, b, rng_seed)) == want
 
+    def test_a_value_too_wide_for_the_prf_is_named(self):
+        wide = DramGeometry(banks=16, rows_per_bank=4096, columns_per_row=2**20,
+                            address_bits=200)
+        dev = new_sim_device(1, 2, geom=wide)
+        assert access_time(dev, 2**135 - 1, 5, 7) > 0  # 135 bits still fit
+        with pytest.raises(DeviceError, match="^probe address of 136 bits "
+                                              r"\(address_bits=200\) does not fit"):
+            access_time(dev, 5, 2**135, 7)
+        with pytest.raises(DeviceError, match="^seed does not fit"):
+            access_time(dev, 2**135 - 1, 6, 2**135)
+
 
 class TestTrr:
     def test_uniform_double_sided_suppressed(self):
