@@ -116,25 +116,16 @@ class AddressMapping:
             raise MappingError("row and column bit ranges overlap")
 
     @cached_property
-    def _layouts(self) -> dict[DramGeometry, _Layout]:
+    def _layouts(self) -> dict[DramGeometry, tuple]:
         return {}
 
 
-class _Layout(NamedTuple):
-    """What resolving an address needs of a consistent (mapping, geometry) pair."""
-
-    bank_functions: tuple[tuple[int, int], ...]  # (bank bit i, XOR mask)
-    row_shift: int
-    row_mask: int
-    column_shift: int
-    column_mask: int
-
-
-def check_consistent(mapping: AddressMapping, geom: DramGeometry) -> _Layout:
+def check_consistent(mapping: AddressMapping, geom: DramGeometry) -> tuple:
     """Check the pair on first use, then keep and return its layout.
 
-    Raises MappingError unless mapping sizes agree with the geometry; a
-    failing pair stores nothing, so it raises on every call.
+    The layout is the tuple (bank functions as (bank bit i, XOR mask) pairs,
+    row shift, row mask, column shift, column mask). A pair whose sizes disagree
+    raises MappingError and stores nothing, so it raises on every call.
     """
     layout = mapping._layouts.get(geom)
     if layout is not None:
@@ -153,9 +144,8 @@ def check_consistent(mapping: AddressMapping, geom: DramGeometry) -> _Layout:
         raise MappingError("bank function mask exceeds address_bits")
     row_shift, row_mask = mapping.row_bits[0], geom.rows_per_bank - 1
     column_shift, column_mask = mapping.column_bits[0], geom.columns_per_row - 1
-    layout = mapping._layouts[geom] = _Layout(
-        tuple(enumerate(mapping.bank_functions)), row_shift, row_mask,
-        column_shift, column_mask)
+    layout = mapping._layouts[geom] = (tuple(enumerate(mapping.bank_functions)),
+                                       row_shift, row_mask, column_shift, column_mask)
     return layout
 
 

@@ -224,10 +224,14 @@ def enroll(dataset: FingerprintDataset, dev_id: str, fp: Fingerprint) -> None:
 # real directory in it down to its record's count, or to none. A sweep
 # removes each <k>.fp above its count, highest k first, so the loader
 # never meets a gap; other names (notes.fp, 0.fp, 01.fp) stay. A save into
-# any other directory removes nothing. Each file lands via
-# write-temp-then-rename, mode 0600 from mkstemp, so each file is replaced
-# atomically. A whole save is not: an interrupted save can leave some
-# files new and others old, and nothing is fsync'd.
+# any other directory removes nothing, and refuses, before writing, one
+# whose entries would not load as an empty dataset: a directory (symlinks
+# followed) that holds a .fp name. A first enroll interrupted after its
+# first file landed wrote no dataset.meta, so nothing was enrolled, and
+# that directory must be removed before a new dataset starts there. Each
+# file lands via write-temp-then-rename, mode 0600 from mkstemp, so each
+# file is replaced atomically. A whole save is not: an interrupted save can
+# leave some files new and others old, and nothing is fsync'd.
 #
 # A load keeps one object per distinct location of a device: each file's
 # locations are the objects the device's earlier files decoded, so a
@@ -252,6 +256,10 @@ def _write_atomic(path: str, content: str) -> None:
             os.unlink(tmp)
 
 
+def _fp_names(path: str) -> set[str]:
+    return {name for name in os.listdir(path) if name.endswith(".fp")}
+
+
 def _symlinked(name: str) -> DatasetError:
     return DatasetError(f"{name!r} is a symlink; a device needs a directory of its own")
 
@@ -264,6 +272,12 @@ def save_dataset(dataset: FingerprintDataset, directory: str) -> None:
             raise _symlinked(dev_id)
     # only a directory that was a dataset before holds files a save wrote
     was_dataset = os.path.exists(os.path.join(directory, META_NAME))
+    if not was_dataset and os.path.isdir(directory):
+        with os.scandir(directory) as listing:
+            for entry in sorted(listing, key=attrgetter("name")):
+                if entry.is_dir() and _fp_names(entry.path):
+                    raise DatasetError(f"{entry.name!r} holds .fp files and there is no "
+                                       f"{META_NAME}; a new dataset needs a directory without them")
     os.makedirs(directory, exist_ok=True)
     meta = f"challenge={dataset.challenge_hash}\nid_counter={_next_index(dataset)}\n"
     for dev_id in sorted(dataset.records):
@@ -306,7 +320,7 @@ def load_dataset(directory: str) -> FingerprintDataset:
             dev_id, dev_dir = entry.name, entry.path
             if not entry.is_dir():
                 continue
-            names = {name for name in os.listdir(dev_dir) if name.endswith(".fp")}
+            names = _fp_names(dev_dir)
             if not names:
                 continue  # an enroll interrupted before its first file landed
             if entry.is_symlink():

@@ -281,9 +281,28 @@ class TestEnrollIdentify:
         captures = [write_fingerprint(ds / "other", device_profile, f"{k}.fp", 30 + k)
                     for k in (1, 2)]
         before = [p.read_bytes() for p in captures]
-        assert cli.main(["--dataset", str(ds), "enroll", str(captures[0])]) == 0
+        assert cli.main(["--dataset", str(ds), "enroll", str(captures[0])]) == cli.EXIT_USAGE
         assert [p.read_bytes() for p in captures] == before
         assert sorted(p.name for p in (ds / "other").iterdir()) == ["1.fp", "2.fp"]
+        assert not (ds / "dataset.meta").exists()
+
+    @pytest.mark.parametrize("explicit_id", [False, True])
+    @pytest.mark.parametrize("entry", ["dev-1", "other"])
+    def test_a_new_dataset_refuses_a_directory_whose_entries_hold_fp_files(
+            self, tmp_path, device_profile, capsys, entry, explicit_id):
+        ds = tmp_path / "runs"
+        (ds / entry).mkdir(parents=True)
+        query = write_fingerprint(tmp_path, device_profile, "q2.fp", 41)
+        (ds / entry / "1.fp").write_text("# my own capture\n" + query.read_text())
+        before = tree(tmp_path)
+        capsys.readouterr()
+        argv = ["--dataset", str(ds), "enroll", str(query)]
+        rc = cli.main(argv + ["--id", "dev-1"] if explicit_id else argv)
+        assert rc == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {entry!r} holds .fp files and there is no dataset.meta; "
+            "a new dataset needs a directory without them\n")
+        assert tree(tmp_path) == before
 
     def test_second_detection_matches_with_high_similarity(self, tmp_path, device_profile, capsys):
         ds = str(tmp_path / "ds")

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -354,6 +355,15 @@ class TestRecovery:
             return math.inf if same and a != b else 100.0
         with pytest.raises(RecoveryError):
             recover_bank_functions(oracle, toy_geom, ProbeConfig(seed=3))
+
+    def test_a_split_with_an_empty_class_is_no_usable_base(self, toy_geom):
+        # the midpoint of 1.0 and the next float rounds to 1.0, so no latency
+        # falls below the threshold
+        lats = itertools.cycle([1.0, math.nextafter(1.0, 2.0)])
+        with pytest.raises(RecoveryError,
+                           match="^only 0 of 4 bases showed a usable conflict gap$"):
+            recover_bank_functions(lambda a, b: next(lats), toy_geom,
+                                   ProbeConfig(num_bases=4, partners_per_base=8))
 
     def test_impossible_probe_plan_is_a_usage_error(self):
         # below MIN_GOOD_BASES bases, or one partner (no threshold), recovery

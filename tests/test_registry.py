@@ -619,6 +619,38 @@ class TestPersistence:
         entry.rename(tmp_path / "dev-2")
         assert generate_new_id(load_dataset(str(path))) == "dev-2"
 
+    def test_a_new_dataset_refuses_a_directory_whose_entries_hold_fp_files(self, tmp_path):
+        path = tmp_path / "runs"
+        (path / "dev-1").mkdir(parents=True)
+        write_capture(path / "dev-1")
+        (path / "dev-2").mkdir()  # no .fp name: loads as nothing
+        (path / "top.fp").write_text("mine\n")
+        before = tree(tmp_path)
+        ds = open_dataset(str(path), H)
+        enroll(ds, generate_new_id(ds), fp(block(0, 8)))
+        with pytest.raises(DatasetError, match="^'dev-1' holds .fp files and there is no "
+                                               "dataset.meta; a new dataset needs"):
+            save_dataset(ds, str(path))
+        assert tree(tmp_path) == before
+
+    def test_a_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        import hammerprint.registry as registry_mod
+        ds = FingerprintDataset(H)
+        enroll(ds, "dev-1", fp(block(0, 8)))
+        path = tmp_path / "ds"
+        save_dataset(ds, str(path))
+        before = tree(tmp_path)
+
+        def failing_replace(src, dst):  # the temp file stays for the cleanup to remove
+            raise OSError("simulated crash before rename")
+
+        monkeypatch.setattr(registry_mod.os, "replace", failing_replace)
+        enroll(ds, "dev-1", fp(block(4, 8)))
+        with pytest.raises(OSError, match="simulated crash"):
+            save_dataset(ds, str(path))
+        assert not list(path.rglob("*.tmp"))
+        assert tree(tmp_path) == before
+
     def test_open_dataset_mints_past_entries_without_a_meta(self, tmp_path):
         path = tmp_path / "runs"
         assert open_dataset(str(path), H) == FingerprintDataset(H)
