@@ -260,18 +260,21 @@ def recover_bank_functions(oracle, geom: DramGeometry, cfg: ProbeConfig = ProbeC
     """Recover bank XOR masks from an access-latency oracle.
 
     ``oracle(a, b)`` returns the latency of alternating accesses to two
-    physical addresses. Returns the canonical GF(2) basis of the bank
-    functions' row space. Raises RecoveryError when the latency
+    physical addresses; an oracle with a ``latencies(base, partners)``
+    method (``simdevice.make_timing_oracle``'s) is asked once per base for
+    the list of ``oracle(base, p)``. Returns the canonical GF(2) basis of
+    the bank functions' row space. Raises RecoveryError when the latency
     populations do not separate or too few conflicts are observed.
     """
     rng = random.Random(cfg.seed)
     space = geom.address_space
     diffs: list[int] = []
     good_bases = 0
+    batch = getattr(oracle, "latencies", None)
     for _ in range(cfg.num_bases):
         base = rng.randrange(space)
         partners = [rng.randrange(space) for _ in range(cfg.partners_per_base)]
-        lats = [oracle(base, p) for p in partners]
+        lats = batch(base, partners) if batch else [oracle(base, p) for p in partners]
         try:
             thr = timing_threshold(lats)
         except ValueError:

@@ -237,7 +237,9 @@ def access_time(dev: SimDevice, a: int, b: int, rng_seed: int) -> float:
     """Latency of alternating accesses to physical addresses a and b.
 
     Same bank but different row adds the row-buffer-conflict gap; Gaussian
-    noise on top. Deterministic in (device, a, b, rng_seed).
+    noise on top. Deterministic in (device, a, b, rng_seed). The batch
+    ``make_timing_oracle(dev, rng_seed).latencies(a, partners)`` follows
+    this rule float for float, and raises what the first failing pair would.
     """
     da = phys_to_dram(a, dev.mapping, dev.geom)
     db = phys_to_dram(b, dev.mapping, dev.geom)
@@ -245,19 +247,68 @@ def access_time(dev: SimDevice, a: int, b: int, rng_seed: int) -> float:
     if da.bank == db.bank and da.row != db.row:
         lat += dev.noise.timing_conflict_gap
     if dev.noise.timing_sigma > 0:
-        width = max(a.bit_length(), b.bit_length())
-        if width > 135:  # _absorb's 17-byte signed field holds 135 bits
-            raise DeviceError(f"probe address of {width} bits (address_bits="
-                              f"{dev.geom.address_bits}) does not fit the PRF's "
-                              "17-byte signed encoding")
+        _check_probe_width(dev, a, b)
         rng = random.Random(_prf("time", dev.device_key, rng_seed, a, b))
         lat += rng.gauss(0.0, dev.noise.timing_sigma)
     return lat
 
 
-def make_timing_oracle(dev: SimDevice, rng_seed: int):
-    """Address-pair latency oracle for mapping recovery."""
-    return lambda a, b: access_time(dev, a, b, rng_seed)
+def _check_probe_width(dev: SimDevice, a: int, b: int) -> None:
+    width = max(a.bit_length(), b.bit_length())
+    if width > 135:  # _absorb's 17-byte signed field holds 135 bits
+        raise DeviceError(f"probe address of {width} bits (address_bits="
+                          f"{dev.geom.address_bits}) does not fit the PRF's "
+                          "17-byte signed encoding")
+
+
+# see make_timing_oracle; a plain class, since a dataclass's generated
+# methods would add to import time
+class _TimingOracle:
+    def __init__(self, dev: SimDevice, rng_seed: int):
+        self.dev = dev
+        self.rng_seed = rng_seed
+
+    def __call__(self, a: int, b: int) -> float:
+        return access_time(self.dev, a, b, self.rng_seed)
+
+    def latencies(self, base: int, partners) -> list[float]:
+        dev, mapping, geom = self.dev, self.dev.mapping, self.dev.geom
+        home_bank, home_row, _ = phys_to_dram(base, mapping, geom)
+        funcs, row_shift, row_mask, _, _ = check_consistent(mapping, geom)
+        space, noise = geom.address_space, dev.noise
+        head = None
+        rng = random.Random()
+        lats = []
+        for p in partners:
+            if not 0 <= p < space:
+                phys_to_dram(p, mapping, geom)  # raises its range error
+            bank = 0
+            for i, f in funcs:
+                bank |= ((p & f).bit_count() & 1) << i
+            lat = BASE_LATENCY
+            if bank == home_bank and (p >> row_shift) & row_mask != home_row:
+                lat += noise.timing_conflict_gap
+            if noise.timing_sigma > 0:
+                _check_probe_width(dev, base, p)
+                if head is None:
+                    head = _prf_prefix("time", dev.device_key, self.rng_seed, base)
+                rng.seed(_prf(p, prefix=head))  # Random.seed also clears gauss_next
+                lat += rng.gauss(0.0, noise.timing_sigma)
+            lats.append(lat)
+        return lats
+
+
+def make_timing_oracle(dev: SimDevice, rng_seed: int) -> _TimingOracle:
+    """Address-pair latency oracle for mapping recovery.
+
+    ``oracle(a, b)`` is ``access_time(dev, a, b, rng_seed)``. The batch
+    ``oracle.latencies(base, partners)`` follows the same latency rule: for
+    non-empty ``partners`` it returns the list of ``oracle(base, p)`` float
+    for float, or raises what the first failing pair would, but resolves
+    ``base`` and absorbs the ``("time", device key, rng_seed, base)`` PRF
+    head once.
+    """
+    return _TimingOracle(dev, rng_seed)
 
 
 def trr_neutralizes(dev: SimDevice, ch: DramChallenge) -> bool:

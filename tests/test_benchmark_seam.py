@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from hammerprint import evalharness, registry, simdevice
+from hammerprint import evalharness, geometry, registry, simdevice
 from hammerprint.challenge import challenge_hash, default_challenge
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -119,6 +119,41 @@ def test_traced_access_time_resolves_each_address_once():
     outer = names.index("simdevice.access_time")
     assert all(span[3] == outer for span in tracer.spans
                if span[0] == "geometry.phys_to_dram")
+
+
+def test_traced_recovery_times_each_pair_and_the_timed_path_is_the_batch(tmp_path,
+                                                                          monkeypatch):
+    # the tracer hands recovery a plain oracle, so a traced run still makes
+    # one access_time span per pair, each resolving both addresses
+    geom = geometry.DramGeometry(banks=8, rows_per_bank=256, columns_per_row=256,
+                                 address_bits=20)
+    dev = simdevice.new_sim_device(1, 2, geom=geom)
+    cfg = geometry.ProbeConfig(num_bases=4, partners_per_base=64, seed=5)
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        geometry.recover_bank_functions(simdevice.make_timing_oracle(dev, 3), geom, cfg)
+    finally:
+        tracer.uninstall()
+    outer = [i for i, span in enumerate(tracer.spans) if span[0] == "simdevice.access_time"]
+    assert len(outer) == 4 * 64
+    children = [span[3] for span in tracer.spans if span[0] == "geometry.phys_to_dram"]
+    assert sorted(children) == sorted(outer * 2)
+
+    # untraced, the workload's requests go through the batch and never
+    # call access_time
+    calls = []
+    access_time = simdevice.access_time
+
+    def counted(*args):
+        calls.append(args)
+        return access_time(*args)
+    monkeypatch.setattr(simdevice, "access_time", counted)
+    workloads = load_perfbench(WORKLOADS)
+    workload = workloads.make("reverse_map", 71, str(tmp_path))
+    for kind, call, verify in itertools.islice(workload.ops(), 3):
+        assert verify(call())[1] == workloads.OK, kind
+    assert calls == []
 
 
 def test_traced_reliability_sees_the_set_algebra_and_counts_pairings():

@@ -375,6 +375,60 @@ class TestRecovery:
         ProbeConfig(num_bases=4, partners_per_base=2)
 
 
+
+def outcome(call):
+    """A call's value, or its exception's class and message."""
+    try:
+        return call()
+    except RecoveryError as e:
+        return RecoveryError, str(e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_batch_and_pairwise_recovery_agree(data):
+    # at sigma = gap many recoveries fail, and must fail with the same message
+    geom = DramGeometry(banks=8, rows_per_bank=256, columns_per_row=256, address_bits=20)
+    gap = 100.0
+    seeds = st.integers(0, 2**32)
+    dev = new_sim_device(data.draw(seeds), data.draw(seeds), geom=geom,
+                         mapping=random_mapping(geom, random.Random(data.draw(seeds))),
+                         noise=NoiseConfig(timing_conflict_gap=gap, timing_sigma=data.draw(
+                             st.sampled_from([0.0, gap / 10, gap]))))
+    oracle = make_timing_oracle(dev, data.draw(seeds))
+    cfg = ProbeConfig(num_bases=data.draw(st.integers(4, 8)),
+                      partners_per_base=data.draw(st.integers(2, 128)), seed=data.draw(seeds))
+    assert outcome(lambda: recover_bank_functions(oracle, geom, cfg)) == \
+        outcome(lambda: recover_bank_functions(lambda a, b: oracle(a, b), geom, cfg))
+
+
+def test_the_library_oracle_is_asked_once_per_base(toy_geom, toy_mapping, monkeypatch):
+    dev = new_sim_device(1, 2, geom=toy_geom, mapping=toy_mapping,
+                         noise=NoiseConfig(timing_sigma=0.0))
+    cfg = ProbeConfig(num_bases=5, partners_per_base=64, seed=4)
+    batches, pairs = [], []
+    oracle = make_timing_oracle(dev, 7)
+    latencies = type(oracle).latencies
+
+    def counted_latencies(self, base, partners):
+        batches.append(len(partners))
+        return latencies(self, base, partners)
+
+    def refused_call(self, a, b):
+        raise AssertionError("the batch path made a pairwise call")
+    monkeypatch.setattr(type(oracle), "latencies", counted_latencies)
+    monkeypatch.setattr(type(oracle), "__call__", refused_call)
+    batch = recover_bank_functions(oracle, toy_geom, cfg)
+    assert batches == [64] * 5
+    monkeypatch.undo()
+
+    def plain(a, b):
+        pairs.append((a, b))
+        return oracle(a, b)
+    assert recover_bank_functions(plain, toy_geom, cfg) == batch
+    assert len(pairs) == 5 * 64
+
+
 FUNCS = (1 << 8, 1 << 9, 1 << 10)  # three bank bits, as toy_geom's 8 banks need
 
 

@@ -6,6 +6,7 @@ import statistics
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import small_challenge
 from hammerprint.challenge import PatternKind, default_challenge, victim_rows
@@ -21,6 +22,7 @@ from hammerprint.simdevice import (
     deterministic_noise,
     encode_device,
     hammer,
+    make_timing_oracle,
     new_sim_device,
     parse_device,
     run_query,
@@ -235,6 +237,64 @@ class TestAccessTime:
         with pytest.raises(DeviceError, match="^seed does not fit"):
             access_time(dev, 2**135 - 1, 6, 2**135)
 
+
+
+def outcome(call):
+    """A call's value, or its exception's class and message."""
+    try:
+        return call()
+    except Exception as e:
+        return type(e), str(e)
+
+
+BATCH_GEOMS = (
+    None,  # the default geometry
+    DramGeometry(banks=64, rows_per_bank=1024, columns_per_row=1024, address_bits=26),
+    DramGeometry(banks=16, rows_per_bank=4096, columns_per_row=2**20, address_bits=200),
+)
+
+
+def assert_batch_matches_pairs(dev, base, partners, rng_seed):
+    batch = outcome(lambda: make_timing_oracle(dev, rng_seed).latencies(base, partners))
+    pairs = outcome(lambda: [access_time(dev, base, p, rng_seed) for p in partners])
+    assert batch == pairs  # float for float: == on floats is exact
+    return batch
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_batch_latencies_equal_the_pairs(data):
+    # the third geometry's 200-bit space holds addresses too wide for the PRF
+    dev = new_sim_device(data.draw(st.integers(0, 2**64)), data.draw(st.integers(0, 2**64)),
+                         geom=data.draw(st.sampled_from(BATCH_GEOMS)),
+                         noise=NoiseConfig(timing_sigma=data.draw(st.sampled_from([0.0, 10.0]))))
+    space = dev.geom.address_space
+    address = st.one_of(st.integers(0, min(space, 2**135) - 1), st.integers(0, space - 1),
+                        st.sampled_from([-1, space]))
+    base = data.draw(address)
+    near = st.builds(lambda m: base ^ m, st.integers(0, 2**12))  # same row, most often
+    partners = data.draw(st.lists(st.one_of(address, near, st.just(base)), min_size=1,
+                                  max_size=12))
+    rng_seed = data.draw(st.one_of(st.integers(-2**32, 2**32),
+                                   st.sampled_from([2**135, -2**135 - 1])))  # too wide
+    assert_batch_matches_pairs(dev, base, partners, rng_seed)
+
+
+@pytest.mark.parametrize("geom, base, partners, rng_seed, error, message", [
+    pytest.param(None, 5, [7, 2**36, 2**40], 3, GeometryError,
+                 "address 0x1000000000 outside 36-bit space", id="partner-out-of-range"),
+    pytest.param(BATCH_GEOMS[2], 5, [7, 2**135, 2**136], 3, DeviceError,
+                 "probe address of 136 bits", id="wide-partner"),
+    pytest.param(BATCH_GEOMS[2], 2**140, [7], 3, DeviceError,
+                 "probe address of 141 bits", id="wide-base"),
+    pytest.param(None, 5, [7, 9], 2**135, DeviceError,
+                 "seed does not fit", id="wide-seed"),
+])
+def test_batch_raises_what_the_first_failing_pair_raises(geom, base, partners, rng_seed,
+                                                         error, message):
+    dev = new_sim_device(1, 2, geom=geom)
+    got = assert_batch_matches_pairs(dev, base, partners, rng_seed)
+    assert got[0] is error and got[1].startswith(message)
 
 class TestTrr:
     def test_uniform_double_sided_suppressed(self):
