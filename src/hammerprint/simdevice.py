@@ -1,8 +1,8 @@
 """Seeded virtual DRAM device: conflict timings and Rowhammer bit flips.
 
 The latent state of a device is a sparse susceptibility map derived from
-a keyed PRF over (dimm seed, host seed, cell coordinates). Host mixing is
-a second PRF stage, so the same DIMM on another host draws an effectively
+a keyed PRF over (dimm seed, host seed) and keyed streams over the cell
+coordinates. Host mixing is a second PRF stage, so the same DIMM on another host draws an effectively
 fresh map: supports across hosts or across DIMMs are disjoint, matching
 the observation that fingerprints bind to the whole machine.
 
@@ -18,13 +18,26 @@ Two details carry the measured statistics:
   a small probability, which reproduces both the sub-unity repeat
   similarity of real queries and its insensitivity to the number of
   measurements within a query.
+
+Every random draw is a pure function of its coordinates, in the manner of
+a counter-based generator (Salmon et al., "Parallel Random Numbers: As
+Easy as 1, 2, 3", SC 2011): ``_stream(state, index)`` is the sixteen
+little-endian 32-bit words of one 64-byte keyed blake2b digest of a
+tagged coordinate tuple, and an event of probability p is
+``word < p * 2**32``, so p = 0 and p = 1 are exact. A row draw reads two
+digests of ``("row", key, bank, row)``: position j of the device's block
+is susceptible when word j of digest 0 falls under ``p_cell``; word j of
+digest 1 gives the cell's polarity (its top bit) and whether it is
+marginal (its low 31 bits against ``marginal_fraction * 2**31``). The
+query streams and the timing noise are described at ``_flip_streams``
+and ``access_time``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import random
+import struct
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -119,19 +132,40 @@ def _absorb(h, parts):
 _PRF_EMPTY = hashlib.blake2b(digest_size=8, key=b"hammerprint.simdevice")
 
 
-def _prf_prefix(*parts, prefix=_PRF_EMPTY):
-    """A PRF state that has absorbed ``parts`` after ``prefix``, to pass
-    as ``_prf(prefix=...)``; ``prefix`` is copied, not changed."""
+def _prf(*parts) -> int:
+    """Keyed 64-bit PRF over a tagged tuple of ints and strings."""
+    return int.from_bytes(_absorb(_PRF_EMPTY.copy(), parts).digest(), "little")
+
+
+# the random streams' key, apart from the PRF's
+_STREAM_EMPTY = hashlib.blake2b(digest_size=64, key=b"hammerprint.simdevice.stream")
+_WORDS = struct.Struct("<16I").unpack
+assert SUPPORT_BLOCK <= 16  # one stream digest holds a word for each cell of a row
+
+
+def _stream_state(*parts, prefix=_STREAM_EMPTY):
+    """A stream state that has absorbed ``parts`` after ``prefix``, to pass
+    to ``_stream``; ``prefix`` is copied, not changed."""
     return _absorb(prefix.copy(), parts)
 
 
-def _prf(*parts, prefix=_PRF_EMPTY) -> int:
-    """Keyed 64-bit PRF over a tagged tuple of ints and strings.
+def _stream(state, index: int) -> tuple[int, ...]:
+    """The sixteen 32-bit words of the stream at ``index`` after ``state``.
 
-    blake2b is streamed, so ``_prf(*tail, prefix=_prf_prefix(*head))``
-    equals ``_prf(*head, *tail)``; the prefix state is copied, not changed.
+    blake2b is streamed, so for ``state = _stream_state(*head)`` the words
+    are those of the keyed 64-byte digest of ``(*head, index)``; ``state``
+    is copied, not changed.
     """
-    return int.from_bytes(_absorb(prefix.copy(), parts).digest(), "little")
+    return _WORDS(_absorb(state.copy(), (index,)).digest())
+
+
+def _normal(words) -> float:
+    """A standard normal deviate from words 0-3 of a stream: Box-Muller over
+    two 53-bit uniforms u, v in [0, 1), each built as ``random.random`` builds
+    one from two words, with ``1 - u`` under the log."""
+    u = ((words[0] >> 5) * 67108864 + (words[1] >> 6)) / 9007199254740992
+    v = ((words[2] >> 5) * 67108864 + (words[3] >> 6)) / 9007199254740992
+    return math.sqrt(-2.0 * math.log(1.0 - u)) * math.cos(math.tau * v)
 
 
 @dataclass(frozen=True)
@@ -188,17 +222,19 @@ class SimDevice:
         block = min(SUPPORT_BLOCK, positions)
         base = self.support_block_start
         p_cell = min(1.0, self.noise.susceptibility_density * self.density_factor / block)
-        rng = random.Random(_prf("row", self.device_key, bank, row))
+        cell_cut = p_cell * 2**32
+        marginal_cut = self.noise.marginal_fraction * 2**31
+        state = _stream_state("row", self.device_key, bank, row)
         cells = []
-        for j in range(block):
-            if rng.random() < p_cell:
-                polarity = rng.getrandbits(1)
-                marginal = rng.random() < self.noise.marginal_fraction
-                pos = base + j  # bit position within the row: column byte * 8 + bit
+        # pos is the bit position within the row: column byte * 8 + bit
+        for pos, draw, kind in zip(range(base, base + block), _stream(state, 0), _stream(state, 1)):
+            if draw < cell_cut:
                 # bank and row were range-checked by susceptible_cells and
                 # pos >= 0, so the constructors' checks cannot fail here
                 location = tuple.__new__(FlipLocation, (bank, row, pos >> 3, pos & 7))
-                cells.append(tuple.__new__(SusceptibleCell, (location, polarity, marginal)))
+                # polarity is the top bit, marginal the low 31 bits' draw
+                cells.append(tuple.__new__(SusceptibleCell, (
+                    location, kind >> 31, kind & 0x7FFFFFFF < marginal_cut)))
         return tuple(cells)
 
 
@@ -237,7 +273,9 @@ def access_time(dev: SimDevice, a: int, b: int, rng_seed: int) -> float:
     """Latency of alternating accesses to physical addresses a and b.
 
     Same bank but different row adds the row-buffer-conflict gap; Gaussian
-    noise on top. Deterministic in (device, a, b, rng_seed). The batch
+    noise on top, ``timing_sigma * _normal`` of the stream at ``b`` after
+    ``("time", device key, rng_seed, a)``. Deterministic in (device, a, b,
+    rng_seed). The batch
     ``make_timing_oracle(dev, rng_seed).latencies(a, partners)`` follows
     this rule float for float, and raises what the first failing pair would.
     """
@@ -248,8 +286,8 @@ def access_time(dev: SimDevice, a: int, b: int, rng_seed: int) -> float:
         lat += dev.noise.timing_conflict_gap
     if dev.noise.timing_sigma > 0:
         _check_probe_width(dev, a, b)
-        rng = random.Random(_prf("time", dev.device_key, rng_seed, a, b))
-        lat += rng.gauss(0.0, dev.noise.timing_sigma)
+        head = _stream_state("time", dev.device_key, rng_seed, a)
+        lat += dev.noise.timing_sigma * _normal(_stream(head, b))
     return lat
 
 
@@ -277,7 +315,6 @@ class _TimingOracle:
         funcs, row_shift, row_mask, _, _ = check_consistent(mapping, geom)
         space, noise = geom.address_space, dev.noise
         head = None
-        rng = random.Random()
         lats = []
         for p in partners:
             if not 0 <= p < space:
@@ -291,9 +328,8 @@ class _TimingOracle:
             if noise.timing_sigma > 0:
                 _check_probe_width(dev, base, p)
                 if head is None:
-                    head = _prf_prefix("time", dev.device_key, self.rng_seed, base)
-                rng.seed(_prf(p, prefix=head))  # Random.seed also clears gauss_next
-                lat += rng.gauss(0.0, noise.timing_sigma)
+                    head = _stream_state("time", dev.device_key, self.rng_seed, base)
+                lat += noise.timing_sigma * _normal(_stream(head, p))
             lats.append(lat)
         return lats
 
@@ -305,7 +341,7 @@ def make_timing_oracle(dev: SimDevice, rng_seed: int) -> _TimingOracle:
     ``oracle.latencies(base, partners)`` follows the same latency rule: for
     non-empty ``partners`` it returns the list of ``oracle(base, p)`` float
     for float, or raises what the first failing pair would, but resolves
-    ``base`` and absorbs the ``("time", device key, rng_seed, base)`` PRF
+    ``base`` and absorbs the ``("time", device key, rng_seed, base)`` stream
     head once.
     """
     return _TimingOracle(dev, rng_seed)
@@ -329,41 +365,38 @@ def _flip_streams(dev: SimDevice, ch: DramChallenge, measurement_seed: int):
     …``, the list of the row's active locations that flip in ``t``;
     ``n_active`` counts those locations.
 
-    Every stream is seeded from its own (tag, t, bank, row) PRF input, so
-    a stream that is never drawn moves no other draw. The ``act`` + bank
-    and ``meas`` + t + bank PRF states are built once per call, the latter
-    on first use, so a stream's seed absorbs only its row. One generator
-    serves every stream, reseeded through the C-level seed that
-    ``Random(x)`` itself ends in, so each stream's ``random()`` values are
-    those of ``Random(x)``; a stream is drawn in full before it is yielded.
+    A row's draws read ``_stream`` words: the k-th eligible cell reads word
+    k, active or not, so each draw stays tied to its cell. A marginal cell
+    is active when its word of the ``("act", key, seed, bank, row)`` stream
+    falls under ``marginal_activation``, and an active cell flips in ``t``
+    when its word of the ``("meas", key, seed, t, bank, row)`` stream falls
+    under ``p_flip_given_susceptible``. Each stream is a pure function of
+    its coordinates, so a stream that is never drawn moves no other draw.
+    The ``act`` + bank and ``meas`` + t + bank states are built once per
+    call, the latter on first use, so a stream absorbs only its row.
     """
     ch.validate_for(dev.geom)
     if trr_neutralizes(dev, ch):
         return
-    rng = random.Random()
-    reseed = super(random.Random, rng).seed
-    draw = rng.random
     key = dev.device_key
-    p_flip = dev.noise.p_flip_given_susceptible
+    flip_cut = dev.noise.p_flip_given_susceptible * 2**32
     meas_states = {}
 
     def streams(bank, row, eligible, active):
         for t in range(ch.measurements):
             state = meas_states.get((t, bank))
             if state is None:
-                state = meas_states[t, bank] = _prf_prefix("meas", key, measurement_seed, t, bank)
-            reseed(_prf(row, prefix=state))
-            # every eligible cell draws, active or not, so each draw
-            # stays tied to its cell
-            yield [cell.location for cell, act in zip(eligible, active)
-                   if draw() < p_flip and act]
+                state = meas_states[t, bank] = _stream_state("meas", key, measurement_seed,
+                                                             t, bank)
+            yield [cell.location for cell, act, word in zip(eligible, active, _stream(state, row))
+                   if act and word < flip_cut]
 
     victims = victim_rows(ch.pattern)
-    activation = dev.noise.marginal_activation
+    activation_cut = dev.noise.marginal_activation * 2**32
     victim_value = ch.data.victim_value
-    act_prefix = _prf_prefix("act", key, measurement_seed)
+    act_prefix = _stream_state("act", key, measurement_seed)
     for bank in ch.bank_range:
-        act_bank = _prf_prefix(bank, prefix=act_prefix)
+        act_bank = _stream_state(bank, prefix=act_prefix)
         for row in victims:
             cells = dev.susceptible_cells(bank, row)
             # charged-state gate: a true cell needs its bit initialized to
@@ -371,8 +404,8 @@ def _flip_streams(dev: SimDevice, ch: DramChallenge, measurement_seed: int):
             eligible = [c for c in cells if (victim_value >> c.location.bit) & 1 == c.polarity]
             if not eligible:
                 continue
-            reseed(_prf(row, prefix=act_bank))
-            active = [not c.marginal or draw() < activation for c in eligible]
+            active = [not c.marginal or word < activation_cut
+                      for c, word in zip(eligible, _stream(act_bank, row))]
             n_active = active.count(True)
             if n_active:
                 yield n_active, streams(bank, row, eligible, active)

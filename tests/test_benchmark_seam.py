@@ -12,6 +12,7 @@ is written next to them.
 """
 
 import ast
+import collections
 import importlib
 import itertools
 import types
@@ -82,11 +83,19 @@ def test_tracer_installs_and_uninstalls_cleanly():
     assert {owner: dict(vars(owner)) for owner in owners} == before
 
 
-def test_traced_query_counts_prf_calls_and_row_spans():
-    # the per-layer counters must still see every seed the simulator hashes
-    # and its 115 victim rows (5 banks x 23 rows) however they are computed:
-    # a stream seeded outside _prf would lower the exact counts
+def test_traced_query_counts_prf_calls_and_row_spans(monkeypatch):
+    # the per-layer counters must still see every _prf call and the 115
+    # victim rows (5 banks x 23 rows) however they are computed; the random
+    # streams read _stream, which the tracer does not count, so it is
+    # counted here: a draw made outside the two would lower the exact counts
     tracer = load_tracing().Tracer()
+    streams = collections.Counter()
+    stream = simdevice._stream
+
+    def counted(*args):
+        streams[tracer.request] += 1
+        return stream(*args)
+    monkeypatch.setattr(simdevice, "_stream", counted)
     tracer.install()
     dev = simdevice.new_sim_device(1, 2)
     try:
@@ -100,8 +109,11 @@ def test_traced_query_counts_prf_calls_and_row_spans():
         rows = [span for span in tracer.spans
                 if span[0] == "simdevice.susceptible_cells" and span[4] == request]
         assert len(rows) == 115
-    assert tracer.counts["simdevice.prf", "cold"] == 336
-    assert tracer.counts["simdevice.prf", "warm"] == 223
+    # a cold device derives its key, block slot and density once
+    assert tracer.counts["simdevice.prf", "cold"] == 4
+    assert tracer.counts["simdevice.prf", "warm"] == 0
+    # two per drawn row, then one per act and meas stream
+    assert streams == {"cold": 2 * 115 + 228, "warm": 227}
 
 
 def test_traced_access_time_resolves_each_address_once():

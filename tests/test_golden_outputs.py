@@ -23,13 +23,13 @@ from hammerprint.simdevice import new_sim_device, run_query
 
 GOLDEN = {
     "reliability_device1.csv":
-        "2500b6dcc93f2eb827b1477cad29d735cdf18ca194480f4327bfe0dd1598e332",
+        "95e3cb480deaa14946bf21c0ffd777e4c70d79928f3beed8f2d2be23f74f32d5",
     "reliability_device2.csv":
-        "f583283067df797660817af42a2d1c10c4c35af553232e0e9028053c59be4393",
+        "3d4bec98eb2d3477599957081ae8058570b6f9f82b0c36cc4cca8df1ee5979d3",
     "tradeoff.csv":
-        "b71fd48ca27089f1e053fe7f1930a885bb08e5d9a5b58cbde935ee3cbd6f9dee",
+        "9b0d6403cf145ecc4b40a0de9f3d874ffa89c7d729e3687607df4a5dd4daa278",
     "query.fp":
-        "356f38b63ed6026fc11fbeeb7f8cfcf940186e4059528cd05546d2e734a39c1f",
+        "8cd1db6ac248545e4b60d273154e2107e9ae3bf3e14d8f295c92e88a1f203ad2",
     "device.prof":
         "276aca09db286fcdc2839f94e968ff587452d61115a41f639dca3d8e10f959a5",
     "mapping.txt":
@@ -44,10 +44,10 @@ def sha256(path) -> str:
 # sha256 of what each default-seed `eval <name>` prints in table mode:
 # the summary table, its truncation line and the closing summary lines
 GOLDEN_TABLES = {
-    "reliability": "2e820d0bc3241f965f817250a3ec3ce262bb24b0cdbb43b0f52ac0d72a94ec20",
-    "tradeoff": "df6c366bdd49f43775bf94be292c45090b2af01ab2257ceb7e6ab80a3aed4d31",
-    "detection": "1750ccb943ca3dec33bcebae1eb5fb1869d0f665d27ce0fbd9b6fde5b881141e",
-    "one-dimm": "0e7695d8b1d3522ccdf31e18a31c08cd2336dd2917bda8398e314862ab41534d",
+    "reliability": "b55caa3617ab0c5bc34a1dd95bea46194ae135549e835ff2ae945d7481a826d8",
+    "tradeoff": "1b91f14d8047b1faac762d30a2fac1644b242d1da961379727d1e2a8912f9bc7",
+    "detection": "f224a9861e329111440474b053518db5b7fccaeaac5a6d8fd0c8b22af90c4792",
+    "one-dimm": "823bbb168a67f864bff66eee8af8e136af7b906ffd7510d2599550910fc960b7",
     "uniqueness": "0644f38f5d5c1191f58a67b75477f19ec42d40c8a7dbf4d82cd2e5f34d39062c",
 }
 
@@ -133,13 +133,13 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
 
 GOLDEN_REPORTS = {
     "detection.csv":
-        "63d68680d82862bc001fefd17c3c5595018024ac60442be0ec45267c355ce3eb",
+        "fd5388d93f3058add8bf9a3d85592b245d8ab675f3918d3092c1cae39f47d3b0",
     "detection_matrix.csv":
-        "793f31667898d2539c5ca65984086538a8dbe0bb5265607fbd91a9378ad261e4",
+        "33ae30b28ac525ed4bf642cd980ea8f683b0cc3a74f8946ce861fcfceb2917ec",
     "one_dimm.csv":
-        "442606fc78556fc19733544c6c4963cbf4b5060b142fe78a8af33986c688311a",
+        "0f3927bfe9301f2e38c72192c94d124cd0c6044854949109dd8a9ac44aacccbf",
     "one_dimm_matrix.csv":
-        "c143b6a550b4a8f20661ae750a867d74d7c1ca4d08b983f927168f0d2540d735",
+        "fe014e6ba08811c796122d5fb835af0190dbf3c15262ae43f2edf985878188a6",
     "uniqueness.csv":
         "49aa0f586bbac8c67da4a49a6c4461611d30d557abfd948099b7818c5391aaf4",
 }
@@ -160,18 +160,18 @@ def test_default_seed_experiment_reports_are_byte_identical(tmp_path, capsys):
 # the dataset directory and the sha256 of its bytes.
 GOLDEN_DATASET = {
     "dataset.meta": "a909b353ad1338cba8431da160a9cbcd62d7feb392a7d4b567eef886a6e4a672",
-    "dev-1/1.fp": "356f38b63ed6026fc11fbeeb7f8cfcf940186e4059528cd05546d2e734a39c1f",
-    "dev-1/2.fp": "75f4fc018cf8b0d1b33f98fbf988523552f096cf253905d216d3af7211f08b11",
-    "dev-2/1.fp": "3beff80246f131a1e8159b366f57dcdbec585d981e9533915fe081e9e0e6f802",
+    "dev-1/1.fp": "8cd1db6ac248545e4b60d273154e2107e9ae3bf3e14d8f295c92e88a1f203ad2",
+    "dev-1/2.fp": "14f55a0237ee39705cc9fea815befc0f6e2af4fad2b5f21dd119cf873c40b3d3",
+    "dev-2/1.fp": "5b88fe8d311bcdbe67ed19a107bf47dbb65f0b5937a11520d2aec615501337e2",
 }
 
 # (command and its arguments, exit code, stdout) of each enroll and
 # identify, in order: one matched identify (exit 0), one new (exit 3).
 GOLDEN_TRANSCRIPT = [
-    (["enroll", "a.fp"], 0, "enrolled dev-1 (k=1, 149 flips)\n"),
-    (["enroll", "b.fp"], 0, "enrolled dev-2 (k=1, 206 flips)\n"),
-    (["enroll", "a2.fp", "--id", "dev-1"], 0, "enrolled dev-1 (k=2, 141 flips)\n"),
-    (["identify", "a3.fp"], 0, "matched dev-1 similarity=0.854167\n"),
+    (["enroll", "a.fp"], 0, "enrolled dev-1 (k=1, 164 flips)\n"),
+    (["enroll", "b.fp"], 0, "enrolled dev-2 (k=1, 196 flips)\n"),
+    (["enroll", "a2.fp", "--id", "dev-1"], 0, "enrolled dev-1 (k=2, 176 flips)\n"),
+    (["identify", "a3.fp"], 0, "matched dev-1 similarity=0.852071\n"),
     (["identify", "c.fp"], 3, "new dev-3\n"),
 ]
 

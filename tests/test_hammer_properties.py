@@ -2,24 +2,26 @@
 
 ``reference_hammer`` keeps an earlier implementation: a staging pass over
 every victim row, then one pass per measurement that rebuilds each flip's
-location. It hashes each ``act`` and ``meas`` input in full with its own
-copy of the PRF construction, so it checks ``hammer``'s prefix states
-independently. Each ``random.Random`` is seeded from its own PRF input,
-so visiting rows before measurements, or skipping a row that cannot
-flip, must give the same flip sets with no more PRF calls.
+location. It derives each ``act`` and ``meas`` stream in full from
+``hashlib`` and ``struct`` with its own copy of the stream construction,
+so it checks ``hammer``'s prefix states independently. Each stream is a
+pure function of its own input, so visiting rows before measurements, or
+skipping a row that cannot flip, must give the same flip sets with no
+more stream or PRF calls.
 
 ``reference_hammer`` takes its cells from ``susceptible_cells``, so
 ``reference_cells`` checks the row draw on its own: it hashes the whole
 derivation in full and builds every cell with the checked constructors.
 
 ``run_query`` stops a row's streams once every active cell has flipped,
-so it is held to the union of ``hammer``'s sets, with no more PRF calls,
-and to the same PRF calls however many measurements follow the last one
-it needs.
+so it is held to the union of ``hammer``'s sets, with no more stream or
+PRF calls, and to the same calls however many measurements follow the
+last one it needs.
 """
 
 import hashlib
 import random
+import struct
 from contextlib import contextmanager
 from unittest import mock
 
@@ -40,14 +42,20 @@ from hammerprint.fingerprint import FlipLocation, from_measurements
 from hammerprint.geometry import DramGeometry, GeometryError, canonical_mapping
 
 
+def tagged(parts) -> bytes:
+    return b"".join(b"s" + p.encode() if isinstance(p, str)
+                    else b"i" + int(p).to_bytes(17, "little", signed=True) for p in parts)
+
+
 def reference_prf(*parts):
-    h = hashlib.blake2b(digest_size=8, key=b"hammerprint.simdevice")
-    for p in parts:
-        if isinstance(p, str):
-            h.update(b"s" + p.encode())
-        else:
-            h.update(b"i" + int(p).to_bytes(17, "little", signed=True))
+    h = hashlib.blake2b(tagged(parts), digest_size=8, key=b"hammerprint.simdevice")
     return int.from_bytes(h.digest(), "little")
+
+
+def reference_stream(*parts):
+    """The sixteen little-endian 32-bit words of the stream at ``parts``."""
+    h = hashlib.blake2b(tagged(parts), digest_size=64, key=b"hammerprint.simdevice.stream")
+    return struct.unpack("<16I", h.digest())
 
 
 def reference_cells(dev, bank, row):
@@ -58,18 +66,19 @@ def reference_cells(dev, bank, row):
     base = reference_prf("slot", key) % (positions // block) * block
     density_factor = 0.85 + 0.40 * (reference_prf("density", key) / 2**64)
     p_cell = min(1.0, dev.noise.susceptibility_density * density_factor / block)
-    rng = random.Random(reference_prf("row", key, bank, row))
+    draws = reference_stream("row", key, bank, row, 0)
+    kinds = reference_stream("row", key, bank, row, 1)
     cells = []
     for j in range(block):
-        if rng.random() < p_cell:
-            polarity = rng.getrandbits(1)
-            marginal = rng.random() < dev.noise.marginal_fraction
+        if draws[j] < p_cell * 2**32:
+            polarity = kinds[j] // 2**31
+            marginal = kinds[j] % 2**31 < dev.noise.marginal_fraction * 2**31
             location = FlipLocation(bank, row, (base + j) // 8, (base + j) % 8)
             cells.append(sd.SusceptibleCell(location, polarity, marginal))
     return tuple(cells)
 
 
-def reference_hammer(dev, ch, measurement_seed, prf):
+def reference_hammer(dev, ch, measurement_seed, stream):
     ch.validate_for(dev.geom)
     if sd.trr_neutralizes(dev, ch):
         return [set() for _ in range(ch.measurements)]
@@ -86,18 +95,18 @@ def reference_hammer(dev, ch, measurement_seed, prf):
             eligible = [c for c in cells if (victim_value >> c.location.bit) & 1 == c.polarity]
             if not eligible:
                 continue
-            arng = random.Random(prf("act", key, measurement_seed, bank, row))
-            active = [not c.marginal or arng.random() < activation for c in eligible]
+            words = stream("act", key, measurement_seed, bank, row)
+            active = [not c.marginal or words[k] < activation * 2**32
+                      for k, c in enumerate(eligible)]
             rows.append((bank, row, eligible, active))
 
     results = []
     for t in range(ch.measurements):
         flips = set()
         for bank, row, eligible, active in rows:
-            mrng = random.Random(prf("meas", key, measurement_seed, t, bank, row))
-            for cell, act in zip(eligible, active):
-                u = mrng.random()
-                if act and u < p_flip:
+            words = stream("meas", key, measurement_seed, t, bank, row)
+            for k, (cell, act) in enumerate(zip(eligible, active)):
+                if act and words[k] < p_flip * 2**32:
                     flips.add(FlipLocation(bank, row, cell.location.column, cell.location.bit))
         results.append(flips)
     return results
@@ -105,24 +114,26 @@ def reference_hammer(dev, ch, measurement_seed, prf):
 
 @contextmanager
 def counting_prf(limit=None):
-    """Count ``simdevice._prf`` calls; yields the counter and the counted PRF.
+    """Count ``simdevice._prf`` and ``simdevice._stream`` calls together;
+    yields the counter and a counted ``reference_stream``.
 
     With a ``limit``, the call after that many raises AssertionError.
     """
     calls = [0]
-    real = sd._prf
 
-    def counted(*parts, **kwargs):
+    def count():
         calls[0] += 1
-        assert limit is None or calls[0] <= limit, f"more than {limit} _prf calls"
-        return real(*parts, **kwargs)
+        assert limit is None or calls[0] <= limit, f"more than {limit} _prf and _stream calls"
 
-    def counted_reference(*parts):
-        calls[0] += 1
-        return reference_prf(*parts)
+    def counting(real):
+        def counted(*args, **kwargs):
+            count()
+            return real(*args, **kwargs)
+        return counted
 
-    with mock.patch.object(sd, "_prf", counted):
-        yield calls, counted_reference
+    with mock.patch.object(sd, "_prf", counting(sd._prf)), \
+            mock.patch.object(sd, "_stream", counting(sd._stream)):
+        yield calls, counting(reference_stream)
 
 
 PATTERNS = (
@@ -181,8 +192,8 @@ def cases(draw, min_queries=1, max_queries=1):
 def test_one_pass_hammer_matches_two_pass_reference(case):
     setup, [(ch, measurement_seed)] = case
     # a new device per run, so both runs fill the cached device values
-    with counting_prf() as (want_calls, prf):
-        want = reference_hammer(new_device(setup), ch, measurement_seed, prf)
+    with counting_prf() as (want_calls, stream):
+        want = reference_hammer(new_device(setup), ch, measurement_seed, stream)
     with counting_prf() as (got_calls, _):
         got = sd.hammer(new_device(setup), ch, measurement_seed)
     assert got == want
@@ -203,7 +214,7 @@ def test_run_query_is_the_union_of_hammer(case, hint, when):
     assert got.locations == want.locations
     assert (got.challenge_hash, got.device_hint, got.query_time) == (
         want.challenge_hash, want.device_hint, want.query_time)
-    # run_query may stop a row's streams early, never seed more of them
+    # run_query may stop a row's streams early, never draw more of them
     assert got_calls[0] <= want_calls[0]
 
     # a warm device reports the row cache's own location objects
@@ -239,8 +250,8 @@ def test_row_draw_matches_reference(setup, data):
 @example(0, 2**64 - 1)
 @example(2**64 - 1, 0)
 def test_reseeded_generator_draws_like_a_new_one(x, earlier):
-    # hammer reseeds one used generator per stream instead of building
-    # Random(x); its random() stream must not tell the two apart
+    # a used generator reseeded through the C-level seed that Random(x)
+    # ends in draws the random() stream of a new Random(x)
     rng = random.Random(earlier)
     rng.random()
     super(random.Random, rng).seed(x)

@@ -14,6 +14,7 @@ from hammerprint.fingerprint import FlipLocation, encode_fingerprint, union_of
 from hammerprint.geometry import DramGeometry, GeometryError, phys_to_dram
 from hammerprint.simdevice import (
     BASE_LATENCY,
+    SUPPORT_BLOCK,
     DeviceError,
     NoiseConfig,
     SimDevice,
@@ -206,14 +207,14 @@ class TestAccessTime:
     # geometry; recovery only thresholds latencies, so nothing else sees
     # the noise stream float for float
     PINNED = (
-        (None, 0x1234, 0x1101234, 3, "192.6413366995794"),
-        (None, 0x1234, 0x1101234, 4, "185.94119711464526"),
-        (None, 0x1234, 0x5678, 3, "92.5506456310166"),
-        (None, 0x1234, 0x5678, 4, "94.50946227517834"),
-        (64, 0x2345, 0x12745, 3, "207.69875949956455"),
-        (64, 0x2345, 0x12745, 4, "214.91607969928094"),
-        (64, 0x2345, 0x2355, 3, "112.95762522164523"),
-        (64, 0x2345, 0x2355, 4, "84.52313038130936"),
+        (None, 0x1234, 0x1101234, 3, "185.3254138331599"),
+        (None, 0x1234, 0x1101234, 4, "201.35807861477505"),
+        (None, 0x1234, 0x5678, 3, "105.48843896772473"),
+        (None, 0x1234, 0x5678, 4, "106.58141136207973"),
+        (64, 0x2345, 0x12745, 3, "210.0816955780078"),
+        (64, 0x2345, 0x12745, 4, "179.12129928752907"),
+        (64, 0x2345, 0x2355, 3, "112.158170343183"),
+        (64, 0x2345, 0x2355, 4, "97.5013938374367"),
     )
 
     @pytest.mark.parametrize("banks, a, b, rng_seed, want", PINNED)
@@ -237,6 +238,65 @@ class TestAccessTime:
         with pytest.raises(DeviceError, match="^seed does not fit"):
             access_time(dev, 2**135 - 1, 6, 2**135)
 
+
+# Every draw is a threshold on stream words, so a wrong threshold, bit or
+# word shows as a rate off its model value. Each rate is taken over at
+# least 20,000 trials at fixed seeds and must lie within 5 binomial
+# standard deviations.
+def assert_rate(hits: int, trials: int, p: float) -> None:
+    assert trials >= 20_000
+    assert abs(hits - trials * p) <= 5 * math.sqrt(trials * p * (1 - p)), (hits, trials, p)
+
+
+def test_row_draw_rates_match_the_model():
+    dev = new_sim_device(71, 72)
+    rows = [(bank, row) for bank in range(5) for row in range(4096)]
+    n_cells = n_true = n_marginal = 0
+    for bank, row in rows:
+        for cell in dev._draw_cells(bank, row):  # not kept, unlike susceptible_cells
+            n_cells += 1
+            n_true += cell.polarity
+            n_marginal += cell.marginal
+    assert_rate(n_cells, len(rows) * SUPPORT_BLOCK,
+                dev.noise.susceptibility_density * dev.density_factor / SUPPORT_BLOCK)
+    assert_rate(n_true, n_cells, 0.5)
+    assert_rate(n_marginal, n_cells, dev.noise.marginal_fraction)
+
+
+def test_activation_and_flip_rates_match_the_model():
+    ch = default_challenge()
+    # with p_flip = 1 a marginal eligible cell flips in a measurement
+    # exactly when it is active in the query
+    dev = new_sim_device(73, 74, noise=NoiseConfig(p_flip_given_susceptible=1.0))
+    marginal = eligible_cells(dev, ch) & {
+        c.location for bank in ch.bank_range for row in victim_rows(ch.pattern)
+        for c in dev.susceptible_cells(bank, row) if c.marginal}
+    seeds = range(-(-20_000 // len(marginal)))
+    active = sum(len(marginal & run_query(dev, ch.with_measurements(1), s).locations)
+                 for s in seeds)
+    assert_rate(active, len(marginal) * len(seeds), dev.noise.marginal_activation)
+
+    # with no marginal cells every eligible cell is active in every query
+    dev = new_sim_device(75, 76, noise=NoiseConfig(marginal_fraction=0.0))
+    n_eligible = len(eligible_cells(dev, ch))
+    seeds = range(-(-20_000 // (n_eligible * ch.measurements)))
+    flips = sum(len(flips) for s in seeds for flips in hammer(dev, ch, s))
+    assert_rate(flips, n_eligible * ch.measurements * len(seeds),
+                dev.noise.p_flip_given_susceptible)
+
+
+def test_timing_noise_has_mean_zero_and_spread_sigma():
+    dev = new_sim_device(77, 78)
+    quiet = new_sim_device(77, 78, noise=NoiseConfig(timing_sigma=0.0))
+    rng = random.Random(79)
+    n, space, sigma = 20_000, dev.geom.address_space, dev.noise.timing_sigma
+    residuals = []
+    for i in range(n):
+        a, b = rng.randrange(space), rng.randrange(space)
+        residuals.append(access_time(dev, a, b, i) - access_time(quiet, a, b, i))
+    # 5 standard errors of the mean and of the standard deviation
+    assert abs(statistics.fmean(residuals)) <= 5 * sigma / math.sqrt(n)
+    assert abs(statistics.pstdev(residuals) - sigma) <= 5 * sigma / math.sqrt(2 * n)
 
 
 def outcome(call):
