@@ -2,15 +2,14 @@
 """Held-out seed report for the acceptance statistics, standard library only.
 
     python3 scripts/heldout_report.py > report.txt
-    python3 scripts/heldout_report.py --criteria 01 --k 2
     python3 scripts/heldout_report.py --compare before.txt after.txt
 
 The acceptance suite (``tests/test_acceptance.py``) checks each criterion at
 one pinned seed, so it cannot tell a change that keeps the simulator's
 statistics from one that shifts them but still lands in the band. This
-script reruns criteria 01-06 and 10 over ``--k`` held-out seeds (default 20)
-and criterion 07 over ``--k07`` (default 5; each of its runs is 100
-recoveries). Run ``k`` of criterion ``c`` draws every seed it needs from
+script reruns criteria 01-06 and 10 over K = 20 held-out seeds and
+criterion 07 over K07 = 5 (each of its runs is 100 recoveries). Run ``k``
+of criterion ``c`` draws every seed it needs from
 ``random.Random(f"heldout:{c:02d}:{k}")``; the rest of the run is the
 criterion's own procedure and check. The suite's wall-time gates are not
 part of a held-out pass, so the report is the same bytes on every run.
@@ -37,7 +36,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from hammerprint import cli, gf2  # noqa: E402
 from hammerprint.challenge import (  # noqa: E402
@@ -55,7 +55,6 @@ from hammerprint.evalharness import (  # noqa: E402
 )
 from hammerprint.fingerprint import jaccard_prime, union_of  # noqa: E402
 from hammerprint.geometry import (  # noqa: E402
-    AddressMapping,
     DramGeometry,
     ProbeConfig,
     RecoveryError,
@@ -68,6 +67,10 @@ from hammerprint.simdevice import (  # noqa: E402
     new_sim_device,
     run_query,
 )
+from perfbench.workloads import random_mapping  # noqa: E402
+
+# held-out seeds per criterion, and for criterion 07
+K, K07 = 20, 5
 
 # The tolerance a change of the random streams must meet, fixed before any
 # such change is measured. A criterion's pass count may drop by at most
@@ -147,20 +150,6 @@ def criterion_06(rng):
     wide = default_challenge()
     pierced = sum(any(hammer(dev, wide, rng.getrandbits(64))) for _ in range(100))
     return suppressed == 100 and pierced >= 99, [pierced], None
-
-
-def random_mapping(geom: DramGeometry, rng: random.Random) -> AddressMapping:
-    """The acceptance suite's mapping: bank function i is home bit i XOR
-    one to three random row bits."""
-    cb, bb, rb = geom.column_bits, geom.bank_bits, geom.row_bits
-    row_lo = cb + bb
-    funcs = []
-    for i in range(bb):
-        mask = 1 << (cb + i)
-        for e in rng.sample(range(rb), rng.randint(1, 3)):
-            mask |= 1 << (row_lo + e)
-        funcs.append(mask)
-    return AddressMapping(tuple(funcs), (row_lo, row_lo + rb), (0, cb))
 
 
 def criterion_07(rng):
@@ -298,10 +287,6 @@ def compare(before: str, after: str) -> tuple[bool, str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--criteria", default=",".join(CRITERIA),
-                        help="comma-separated criteria to run (default: all)")
-    parser.add_argument("--k", type=int, default=20, help="held-out seeds per criterion")
-    parser.add_argument("--k07", type=int, default=5, help="held-out seeds for criterion 07")
     parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
                         help="check the AFTER report against the BEFORE report")
     args = parser.parse_args(argv)
@@ -310,11 +295,7 @@ def main(argv: list[str] | None = None) -> int:
         ok, text = compare(before, after)
         sys.stdout.write(text)
         return 0 if ok else 1
-    criteria = args.criteria.split(",")
-    unknown = [c for c in criteria if c not in CRITERIA]
-    if unknown or args.k < 1 or args.k07 < 1:
-        parser.error(f"criteria are {', '.join(CRITERIA)} and K is at least 1")
-    sys.stdout.write(report(criteria, args.k, args.k07))
+    sys.stdout.write(report(list(CRITERIA), K, K07))
     return 0
 
 
