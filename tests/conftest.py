@@ -1,10 +1,9 @@
 import os
-import random
 
 import pytest
 
 from hammerprint.challenge import DramChallenge, DataPattern, PatternKind, build_pattern
-from hammerprint.geometry import AddressMapping, DramGeometry, canonical_mapping
+from hammerprint.geometry import DramGeometry, canonical_mapping
 from hammerprint.simdevice import new_sim_device
 
 
@@ -22,21 +21,6 @@ def toy_mapping(toy_geom):
 @pytest.fixture
 def toy_device(toy_geom, toy_mapping):
     return new_sim_device(111, 222, geom=toy_geom, mapping=toy_mapping)
-
-
-def random_mapping(geom: DramGeometry, rng: random.Random) -> AddressMapping:
-    """Mapping in the canonical layout (column low, bank home bits, then
-    row) whose bank function i is home bit i XOR one to three random row
-    bits."""
-    cb, bb, rb = geom.column_bits, geom.bank_bits, geom.row_bits
-    row_lo = cb + bb
-    funcs = []
-    for i in range(bb):
-        mask = 1 << (cb + i)
-        for e in rng.sample(range(rb), rng.randint(1, 3)):
-            mask |= 1 << (row_lo + e)
-        funcs.append(mask)
-    return AddressMapping(tuple(funcs), (row_lo, row_lo + rb), (0, cb))
 
 
 def small_challenge(kind=PatternKind.N_SIDED, n=6, banks=(0, 1), measurements=3,

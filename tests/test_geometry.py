@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_mapping
+from criteria import random_mapping
 from hammerprint import gf2
 from hammerprint.geometry import (
     AddressMapping,

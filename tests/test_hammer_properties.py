@@ -20,13 +20,12 @@ last one it needs.
 """
 
 import hashlib
-import random
 import struct
 from contextlib import contextmanager
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hammerprint import simdevice as sd
 from hammerprint.challenge import (
@@ -243,20 +242,6 @@ def test_row_draw_matches_reference(setup, data):
         assert got == want
         assert type(got) is tuple
         assert types_of(got) == types_of(want)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
-@example(0, 2**64 - 1)
-@example(2**64 - 1, 0)
-def test_reseeded_generator_draws_like_a_new_one(x, earlier):
-    # a used generator reseeded through the C-level seed that Random(x)
-    # ends in draws the random() stream of a new Random(x)
-    rng = random.Random(earlier)
-    rng.random()
-    super(random.Random, rng).seed(x)
-    want = random.Random(x)
-    assert [rng.random() for _ in range(32)] == [want.random() for _ in range(32)]
 
 
 @settings(max_examples=40, deadline=None)

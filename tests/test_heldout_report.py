@@ -2,12 +2,16 @@
 
 The full report (K = 20, criterion 07 at K = 5) takes about a minute and stays
 out of the unit suite; this checks the report's shape, that the same seeds
-give the same bytes twice, and the comparison it applies to a stream change.
+give the same bytes twice, the comparison it applies to a stream change, and
+that it runs the acceptance suite's own procedures.
 """
 
 import importlib.util
+import inspect
 import re
 from pathlib import Path
+
+import criteria
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "heldout_report.py"
 
@@ -46,3 +50,13 @@ def test_ks_distance_and_the_fixed_bound():
     assert round(module.KS_C_ALPHA * (80 / 1600) ** 0.5, 3) == 0.364
     assert module.MAX_PASS_DROP == {"07": 0} and module.DEFAULT_PASS_DROP == 1
     assert (module.K, module.K07) == (20, 5)
+
+
+def test_report_runs_the_shared_procedures_and_keeps_no_copy():
+    module = load_script()
+    for c, entry in module.CRITERIA.items():
+        run = entry[3]
+        assert run.__module__ == "criteria" and getattr(criteria, run.__name__) is run, c
+    own = [name for name, obj in vars(module).items()
+           if inspect.isfunction(obj) and re.fullmatch(r"c(riterion_)?\d\d", name)]
+    assert own == []
