@@ -34,7 +34,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+# a reloaded script adds no entry twice
+sys.path[:0] = [path for path in (str(ROOT / "src"), str(ROOT / "tests")) if path not in sys.path]
 
 import criteria  # noqa: E402
 from hammerprint.simdevice import new_sim_device  # noqa: E402

@@ -24,13 +24,14 @@ a counter-based generator (Salmon et al., "Parallel Random Numbers: As
 Easy as 1, 2, 3", SC 2011): ``_stream(state, index)`` is the sixteen
 little-endian 32-bit words of one 64-byte keyed blake2b digest of a
 tagged coordinate tuple, and an event of probability p is
-``word < p * 2**32``, so p = 0 and p = 1 are exact. A row draw reads two
-digests of ``("row", key, bank, row)``: position j of the device's block
-is susceptible when word j of digest 0 falls under ``p_cell``; word j of
-digest 1 gives the cell's polarity (its top bit) and whether it is
-marginal (its low 31 bits against ``marginal_fraction * 2**31``). The
-query streams and the timing noise are described at ``_flip_streams``
-and ``access_time``.
+``word < ceil(p * 2**32)``, so p = 0 and p = 1 are exact. A row draw reads
+two digests of ``("row", key, bank, row)``: position j of the device's
+block is susceptible when word j of digest 0 falls under ``p_cell``; word j
+of digest 1 gives the cell's polarity (its top bit) and whether it is
+marginal (its low 31 bits against ``marginal_fraction * 2**31``). Bit j of
+three masks holds these; a cell's ``FlipLocation`` is made at its first
+flip. The query streams and the timing noise are described at
+``_flip_streams`` and ``access_time``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import math
 import struct
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from typing import NamedTuple
 
 from .challenge import DramChallenge, victim_rows
 from .codec import parse_bit_range, profile_errors, read_profile
@@ -110,12 +110,6 @@ class NoiseConfig:
                 raise DeviceError(f"{f.name} must be finite, got {getattr(self, f.name)}")
 
 
-class SusceptibleCell(NamedTuple):
-    location: FlipLocation  # where the cell's flip is reported
-    polarity: int  # 1 = true cell (charged stores 1), 0 = anti cell
-    marginal: bool
-
-
 def _absorb(h, parts):
     """Feed tagged ints and strings into a PRF state; returns the state."""
     try:
@@ -140,7 +134,9 @@ def _prf(*parts) -> int:
 # the random streams' key, apart from the PRF's
 _STREAM_EMPTY = hashlib.blake2b(digest_size=64, key=b"hammerprint.simdevice.stream")
 _WORDS = struct.Struct("<16I").unpack
-assert SUPPORT_BLOCK <= 16  # one stream digest holds a word for each cell of a row
+# a row's cells are one stream digest's words and the bits of 16-bit masks
+assert SUPPORT_BLOCK == 16
+_BITS = tuple(1 << j for j in range(SUPPORT_BLOCK))
 
 
 def _stream_state(*parts, prefix=_STREAM_EMPTY):
@@ -189,10 +185,10 @@ class SimDevice:
     @cached_property
     def support_block_start(self) -> int:
         """Start position of this device's susceptible block in every row."""
-        positions = self.geom.columns_per_row * 8
-        block = min(SUPPORT_BLOCK, positions)
-        n_slots = positions // block
-        return (_prf("slot", self.device_key) % n_slots) * block
+        # a device's mapping needs a nonempty column range: 2 or more columns,
+        # so at least 16 positions, per row
+        n_slots = self.geom.columns_per_row * 8 // SUPPORT_BLOCK
+        return (_prf("slot", self.device_key) % n_slots) * SUPPORT_BLOCK
 
     @cached_property
     def density_factor(self) -> float:
@@ -201,14 +197,17 @@ class SimDevice:
         return 0.85 + 0.40 * u
 
     @cached_property
-    def _row_cells(self) -> dict[tuple[int, int], tuple[SusceptibleCell, ...]]:
+    def _row_cells(self) -> dict[tuple[int, int], tuple[int, int, int, list]]:
         return {}
 
-    def susceptible_cells(self, bank: int, row: int) -> tuple[SusceptibleCell, ...]:
+    def susceptible_cells(self, bank: int, row: int) -> tuple[int, int, int, list]:
         """Latent susceptibility of one row; pure in (seeds, bank, row).
 
-        Each row is drawn once per device and kept, so every query of the
-        device shares the row's cells and their ``FlipLocation`` objects.
+        ``(susceptible, polarity, marginal, locations)``: bit j of each mask
+        and slot j of the list are position ``support_block_start + j``; a
+        slot holds the cell's ``FlipLocation`` from its first flip on. The
+        row is drawn once per device and this kept entry returned, so queries
+        share locations; writing to its list changes later fingerprints.
         """
         cells = self._row_cells.get((bank, row))
         if cells is None:
@@ -217,25 +216,19 @@ class SimDevice:
             cells = self._row_cells[bank, row] = self._draw_cells(bank, row)
         return cells
 
-    def _draw_cells(self, bank: int, row: int) -> tuple[SusceptibleCell, ...]:
-        positions = self.geom.columns_per_row * 8
-        block = min(SUPPORT_BLOCK, positions)
-        base = self.support_block_start
-        p_cell = min(1.0, self.noise.susceptibility_density * self.density_factor / block)
-        cell_cut = p_cell * 2**32
-        marginal_cut = self.noise.marginal_fraction * 2**31
+    def _draw_cells(self, bank: int, row: int) -> tuple[int, int, int, list]:
+        p_cell = min(1.0, self.noise.susceptibility_density * self.density_factor / SUPPORT_BLOCK)
+        cell_cut = math.ceil(p_cell * 2**32)
+        marginal_cut = math.ceil(self.noise.marginal_fraction * 2**31)
         state = _stream_state("row", self.device_key, bank, row)
-        cells = []
-        # pos is the bit position within the row: column byte * 8 + bit
-        for pos, draw, kind in zip(range(base, base + block), _stream(state, 0), _stream(state, 1)):
+        susceptible = polarity = marginal = 0
+        for bit, draw, kind in zip(_BITS, _stream(state, 0), _stream(state, 1)):
             if draw < cell_cut:
-                # bank and row were range-checked by susceptible_cells and
-                # pos >= 0, so the constructors' checks cannot fail here
-                location = tuple.__new__(FlipLocation, (bank, row, pos >> 3, pos & 7))
+                susceptible |= bit
                 # polarity is the top bit, marginal the low 31 bits' draw
-                cells.append(tuple.__new__(SusceptibleCell, (
-                    location, kind >> 31, kind & 0x7FFFFFFF < marginal_cut)))
-        return tuple(cells)
+                polarity |= bit if kind >> 31 else 0
+                marginal |= bit if kind & 0x7FFFFFFF < marginal_cut else 0
+        return susceptible, polarity, marginal, [None] * SUPPORT_BLOCK
 
 
 def new_sim_device(dimm_seed: int,
@@ -358,57 +351,71 @@ def trr_neutralizes(dev: SimDevice, ch: DramChallenge) -> bool:
 def _flip_streams(dev: SimDevice, ch: DramChallenge, measurement_seed: int):
     """Walk the measurement streams of every victim row that can flip.
 
-    Validates the challenge, then yields ``(n_active, streams)`` for each
-    victim row with at least one active eligible cell, banks in
-    ``bank_range`` order and rows ascending (nothing when TRR neutralizes
-    the pattern). ``streams`` lazily gives, for measurement ``t = 0, 1,
-    …``, the list of the row's active locations that flip in ``t``;
-    ``n_active`` counts those locations.
+    Validates the challenge, then yields ``(n_active, streams)`` for each victim
+    row with at least one active eligible cell, banks in ``bank_range`` order
+    and rows ascending (nothing when TRR neutralizes the pattern). ``streams``
+    lazily gives, for measurement ``t = 0, 1, …``, the list of the row's
+    active locations that flip in ``t``; ``n_active`` counts those locations.
 
-    A row's draws read ``_stream`` words: the k-th eligible cell reads word
-    k, active or not, so each draw stays tied to its cell. A marginal cell
-    is active when its word of the ``("act", key, seed, bank, row)`` stream
-    falls under ``marginal_activation``, and an active cell flips in ``t``
-    when its word of the ``("meas", key, seed, t, bank, row)`` stream falls
-    under ``p_flip_given_susceptible``. Each stream is a pure function of
-    its coordinates, so a stream that is never drawn moves no other draw.
-    The ``act`` + bank and ``meas`` + t + bank states are built once per
-    call, the latter on first use, so a stream absorbs only its row.
+    A row's draws read ``_stream`` words: the k-th eligible cell (set bit of
+    the eligible mask, from bit 0 up) reads word k, active or not, so each
+    draw stays tied to its cell. A marginal cell is active when its word of
+    the ``("act", key, seed, bank, row)`` stream falls under
+    ``marginal_activation``, and an active cell flips in ``t`` when its word
+    of the ``("meas", key, seed, t, bank, row)`` stream falls under
+    ``p_flip_given_susceptible``. Each stream is a pure function of its
+    coordinates, so a stream that is never drawn moves no other draw. The
+    ``act`` + bank and ``meas`` + t + bank states are built once per call,
+    the latter on first use, so a stream absorbs only its row. A location
+    is made at its cell's first flip and kept in the row's slot.
     """
     ch.validate_for(dev.geom)
     if trr_neutralizes(dev, ch):
         return
-    key = dev.device_key
-    flip_cut = dev.noise.p_flip_given_susceptible * 2**32
+    key, base = dev.device_key, dev.support_block_start
+    flip_cut = math.ceil(dev.noise.p_flip_given_susceptible * 2**32)
     meas_states = {}
 
-    def streams(bank, row, eligible, active):
+    def location(bank, row, j, locations):
+        # bank and row were range-checked by susceptible_cells and the
+        # position is >= 0, so the constructor's checks cannot fail here
+        locations[j] = tuple.__new__(FlipLocation, (bank, row, (base + j) >> 3, (base + j) & 7))
+        return locations[j]
+
+    def streams(bank, row, active, locations):
         for t in range(ch.measurements):
             state = meas_states.get((t, bank))
             if state is None:
                 state = meas_states[t, bank] = _stream_state("meas", key, measurement_seed,
                                                              t, bank)
-            yield [cell.location for cell, act, word in zip(eligible, active, _stream(state, row))
-                   if act and word < flip_cut]
+            words = _stream(state, row)
+            yield [locations[j] or location(bank, row, j, locations)
+                   for k, j in active if words[k] < flip_cut]
 
     victims = victim_rows(ch.pattern)
-    activation_cut = dev.noise.marginal_activation * 2**32
-    victim_value = ch.data.victim_value
+    activation_cut = math.ceil(dev.noise.marginal_activation * 2**32)
+    # the block starts on a byte, so position j holds bit j & 7 of a byte
+    victim_bits = ch.data.victim_value * 0x101
     act_prefix = _stream_state("act", key, measurement_seed)
     for bank in ch.bank_range:
         act_bank = _stream_state(bank, prefix=act_prefix)
         for row in victims:
-            cells = dev.susceptible_cells(bank, row)
+            susceptible, polarity, marginal, locations = dev.susceptible_cells(bank, row)
             # charged-state gate: a true cell needs its bit initialized to
             # 1, an anti cell to 0, i.e. init bit == polarity
-            eligible = [c for c in cells if (victim_value >> c.location.bit) & 1 == c.polarity]
+            eligible = susceptible & ~(polarity ^ victim_bits)
             if not eligible:
                 continue
-            active = [not c.marginal or word < activation_cut
-                      for c, word in zip(eligible, _stream(act_bank, row))]
-            n_active = active.count(True)
-            if n_active:
-                yield n_active, streams(bank, row, eligible, active)
+            words = _stream(act_bank, row)
+            active, k = [], 0  # (k, j) of each active cell: its word and position
+            while eligible:
+                low = eligible & -eligible
+                if not marginal & low or words[k] < activation_cut:
+                    active.append((k, low.bit_length() - 1))
+                eligible ^= low
+                k += 1
+            if active:
+                yield len(active), streams(bank, row, active, locations)
 
 
 def hammer(dev: SimDevice, ch: DramChallenge, measurement_seed: int) -> list[set[FlipLocation]]:

@@ -3,8 +3,9 @@ import os
 import pytest
 
 from hammerprint.challenge import DramChallenge, DataPattern, PatternKind, build_pattern
+from hammerprint.fingerprint import FlipLocation
 from hammerprint.geometry import DramGeometry, canonical_mapping
-from hammerprint.simdevice import new_sim_device
+from hammerprint.simdevice import SUPPORT_BLOCK, new_sim_device
 
 
 @pytest.fixture
@@ -32,6 +33,16 @@ def small_challenge(kind=PatternKind.N_SIDED, n=6, banks=(0, 1), measurements=3,
         data=DataPattern(0x55, 0xAA),
         measurements=measurements,
     )
+
+
+def expand_cells(dev, bank, row, entry=None) -> list[tuple[FlipLocation, int, bool]]:
+    """``(location, polarity, marginal)`` of each susceptible cell of a row, in
+    block order, from its mask entry (``dev.susceptible_cells`` by default)."""
+    susceptible, polarity, marginal, _ = entry or dev.susceptible_cells(bank, row)
+    base = dev.support_block_start
+    return [(FlipLocation(bank, row, (base + j) // 8, (base + j) % 8),
+             polarity >> j & 1, bool(marginal >> j & 1))
+            for j in range(SUPPORT_BLOCK) if susceptible >> j & 1]
 
 
 def tree(root) -> dict:

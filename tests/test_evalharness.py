@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import small_challenge
+from conftest import expand_cells, small_challenge
 from hammerprint.challenge import default_challenge
 from hammerprint.evalharness import (
     DetectionResult,
@@ -138,8 +138,8 @@ class TestUniqueness:
                 cells = set()
                 for bank in ch.bank_range:
                     for row in victim_rows(ch.pattern):
-                        for c in dev.susceptible_cells(bank, row):
-                            cells.add(c.location)
+                        for location, _, _ in expand_cells(dev, bank, row):
+                            cells.add(location)
                 support[name] = cells
             if not (support["a"] & support["b"]):
                 assert rep.max == 0.0

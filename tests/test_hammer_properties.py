@@ -11,7 +11,8 @@ more stream or PRF calls.
 
 ``reference_hammer`` takes its cells from ``susceptible_cells``, so
 ``reference_cells`` checks the row draw on its own: it hashes the whole
-derivation in full and builds every cell with the checked constructors.
+derivation in full and builds every cell's location with the checked
+constructor.
 
 ``run_query`` stops a row's streams once every active cell has flipped,
 so it is held to the union of ``hammer``'s sets, with no more stream or
@@ -27,6 +28,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import expand_cells
 from hammerprint import simdevice as sd
 from hammerprint.challenge import (
     DataPattern,
@@ -58,11 +60,10 @@ def reference_stream(*parts):
 
 
 def reference_cells(dev, bank, row):
-    """``dev.susceptible_cells(bank, row)`` from the device's seeds alone."""
+    """``expand_cells(dev, bank, row)`` from the device's seeds alone."""
     key = reference_prf("host", reference_prf("dimm", dev.dimm_seed), dev.host_seed)
-    positions = dev.geom.columns_per_row * 8
-    block = min(sd.SUPPORT_BLOCK, positions)
-    base = reference_prf("slot", key) % (positions // block) * block
+    block = sd.SUPPORT_BLOCK
+    base = reference_prf("slot", key) % (dev.geom.columns_per_row * 8 // block) * block
     density_factor = 0.85 + 0.40 * (reference_prf("density", key) / 2**64)
     p_cell = min(1.0, dev.noise.susceptibility_density * density_factor / block)
     draws = reference_stream("row", key, bank, row, 0)
@@ -73,8 +74,8 @@ def reference_cells(dev, bank, row):
             polarity = kinds[j] // 2**31
             marginal = kinds[j] % 2**31 < dev.noise.marginal_fraction * 2**31
             location = FlipLocation(bank, row, (base + j) // 8, (base + j) % 8)
-            cells.append(sd.SusceptibleCell(location, polarity, marginal))
-    return tuple(cells)
+            cells.append((location, polarity, marginal))
+    return cells
 
 
 def reference_hammer(dev, ch, measurement_seed, stream):
@@ -90,13 +91,14 @@ def reference_hammer(dev, ch, measurement_seed, stream):
     rows = []
     for bank in ch.bank_range:
         for row in victims:
-            cells = dev.susceptible_cells(bank, row)
-            eligible = [c for c in cells if (victim_value >> c.location.bit) & 1 == c.polarity]
+            eligible = [(location, marginal)
+                        for location, polarity, marginal in expand_cells(dev, bank, row)
+                        if (victim_value >> location.bit) & 1 == polarity]
             if not eligible:
                 continue
             words = stream("act", key, measurement_seed, bank, row)
-            active = [not c.marginal or words[k] < activation * 2**32
-                      for k, c in enumerate(eligible)]
+            active = [not marginal or words[k] < activation * 2**32
+                      for k, (_, marginal) in enumerate(eligible)]
             rows.append((bank, row, eligible, active))
 
     results = []
@@ -104,9 +106,9 @@ def reference_hammer(dev, ch, measurement_seed, stream):
         flips = set()
         for bank, row, eligible, active in rows:
             words = stream("meas", key, measurement_seed, t, bank, row)
-            for k, (cell, act) in enumerate(zip(eligible, active)):
+            for k, ((location, _), act) in enumerate(zip(eligible, active)):
                 if act and words[k] < p_flip * 2**32:
-                    flips.add(FlipLocation(bank, row, cell.location.column, cell.location.bit))
+                    flips.add(FlipLocation(bank, row, location.column, location.bit))
         results.append(flips)
     return results
 
@@ -197,7 +199,9 @@ def test_one_pass_hammer_matches_two_pass_reference(case):
         got = sd.hammer(new_device(setup), ch, measurement_seed)
     assert got == want
     assert got_calls[0] <= want_calls[0]
-    assert all(type(loc) is FlipLocation for flips in got for loc in flips)
+    # locations made at first flip skip the constructor: plain int fields
+    assert all(type(loc) is FlipLocation and list(map(type, loc)) == [int] * 4
+               for flips in got for loc in flips)
 
 
 @settings(max_examples=60, deadline=None)
@@ -216,17 +220,27 @@ def test_run_query_is_the_union_of_hammer(case, hint, when):
     # run_query may stop a row's streams early, never draw more of them
     assert got_calls[0] <= want_calls[0]
 
-    # a warm device reports the row cache's own location objects
+    # a location object is made at its cell's first flip and then kept: after
+    # a cold query the filled slots are the fingerprint's own locations, and
+    # a warm query hands back the very same objects
+    dev = new_device(setup)
+    cold = sd.run_query(dev, ch, measurement_seed)
+    made = [loc for *_, slots in dev._row_cells.values() for loc in slots if loc is not None]
+    assert {id(loc) for loc in made} == {id(loc) for loc in cold.locations}
+    warm = sd.run_query(dev, ch, measurement_seed)
+    assert warm.locations == want.locations
+    base = dev.support_block_start
+    assert all(loc is dev._row_cells[loc.bank, loc.row][3][loc.column * 8 + loc.bit - base]
+               for loc in warm.locations)
+
+    # a device warmed by hammer, which filled the slots of every cell that
+    # flipped in any measurement, reports those slots' own objects
     warm = new_device(setup)
     sd.hammer(warm, ch, measurement_seed)
     again = sd.run_query(warm, ch, measurement_seed)
     assert again.locations == want.locations
-    assert all(any(cell.location is loc for cell in warm._row_cells[loc.bank, loc.row])
+    assert all(loc is warm._row_cells[loc.bank, loc.row][3][loc.column * 8 + loc.bit - base]
                for loc in again.locations)
-
-
-def types_of(cells):
-    return [(type(c), *map(type, c), *map(type, c.location)) for c in cells]
 
 
 @settings(max_examples=60, deadline=None)
@@ -238,10 +252,12 @@ def test_row_draw_matches_reference(setup, data):
                                         st.integers(0, geom.rows_per_bank - 1)),
                               min_size=1, max_size=8))
     for bank, row in rows:
-        got, want = dev.susceptible_cells(bank, row), reference_cells(dev, bank, row)
-        assert got == want
-        assert type(got) is tuple
-        assert types_of(got) == types_of(want)
+        got = dev.susceptible_cells(bank, row)
+        assert expand_cells(dev, bank, row, got) == reference_cells(dev, bank, row)
+        # three plain int masks of the block, and no location before a flip
+        assert type(got) is tuple and list(map(type, got)) == [int, int, int, list]
+        assert all(0 <= mask < 1 << sd.SUPPORT_BLOCK for mask in got[:3])
+        assert got[3] == [None] * sd.SUPPORT_BLOCK
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,6 +9,7 @@ that it runs the acceptance suite's own procedures.
 import importlib.util
 import inspect
 import re
+import sys
 from pathlib import Path
 
 import criteria
@@ -60,3 +61,13 @@ def test_report_runs_the_shared_procedures_and_keeps_no_copy():
     own = [name for name, obj in vars(module).items()
            if inspect.isfunction(obj) and re.fullmatch(r"c(riterion_)?\d\d", name)]
     assert own == []
+
+
+def test_a_second_load_adds_nothing_to_sys_path(monkeypatch):
+    entries = {str(SCRIPT.parent.parent / "src"), str(SCRIPT.parent.parent / "tests")}
+    monkeypatch.setattr(sys, "path", [p for p in sys.path if p not in entries])
+    before = len(sys.path)
+    load_script()
+    assert len(sys.path) == before + 2
+    load_script()
+    assert len(sys.path) == before + 2

@@ -8,10 +8,16 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import small_challenge
+from conftest import expand_cells, small_challenge
 from hammerprint.challenge import PatternKind, default_challenge, victim_rows
 from hammerprint.fingerprint import FlipLocation, encode_fingerprint, union_of
-from hammerprint.geometry import DramGeometry, GeometryError, phys_to_dram
+from hammerprint.geometry import (
+    AddressMapping,
+    DramGeometry,
+    GeometryError,
+    MappingError,
+    phys_to_dram,
+)
 from hammerprint.simdevice import (
     BASE_LATENCY,
     SUPPORT_BLOCK,
@@ -36,8 +42,8 @@ def window_support(dev: SimDevice, ch) -> set[FlipLocation]:
     out = set()
     for bank in ch.bank_range:
         for row in victim_rows(ch.pattern):
-            for cell in dev.susceptible_cells(bank, row):
-                out.add(cell.location)
+            for location, _, _ in expand_cells(dev, bank, row):
+                out.add(location)
     return out
 
 
@@ -47,10 +53,10 @@ def eligible_cells(dev: SimDevice, ch) -> set[FlipLocation]:
     out = set()
     for bank in ch.bank_range:
         for row in victim_rows(ch.pattern):
-            for cell in dev.susceptible_cells(bank, row):
-                init_bit = (ch.data.victim_value >> cell.location.bit) & 1
-                if init_bit == cell.polarity:
-                    out.add(cell.location)
+            for location, polarity, _ in expand_cells(dev, bank, row):
+                init_bit = (ch.data.victim_value >> location.bit) & 1
+                if init_bit == polarity:
+                    out.add(location)
     return out
 
 
@@ -153,6 +159,26 @@ class TestLatentSupport:
         with pytest.raises(GeometryError):
             dev.susceptible_cells(dev.geom.banks, 0)
 
+    def test_every_row_holds_a_whole_support_block(self):
+        # a row of one column (8 positions) is narrower than the block, and
+        # no device has one: the canonical mapping would give it an empty
+        # column range, and a one-bit range does not match its width
+        one_column = DramGeometry(banks=4, rows_per_bank=64, columns_per_row=1,
+                                  address_bits=20)
+        with pytest.raises(MappingError, match="nonempty"):
+            new_sim_device(1, 2, geom=one_column)
+        explicit = AddressMapping((0b1010, 0b10100), (3, 9), (0, 1))
+        with pytest.raises(MappingError, match="column bit range width"):
+            new_sim_device(1, 2, geom=one_column, mapping=explicit)
+        # two columns are the narrowest row, exactly one block wide
+        two_columns = DramGeometry(banks=4, rows_per_bank=64, columns_per_row=2,
+                                   address_bits=20)
+        dev = new_sim_device(1, 2, geom=two_columns)
+        assert dev.geom.columns_per_row * 8 == SUPPORT_BLOCK
+        assert dev.support_block_start == 0
+        assert {location.column for row in range(64)
+                for location, _, _ in expand_cells(dev, 0, row)} == {0, 1}
+
 
 class TestAccessTime:
     def test_same_address_no_gap(self, toy_device):
@@ -253,10 +279,11 @@ def test_row_draw_rates_match_the_model():
     rows = [(bank, row) for bank in range(5) for row in range(4096)]
     n_cells = n_true = n_marginal = 0
     for bank, row in rows:
-        for cell in dev._draw_cells(bank, row):  # not kept, unlike susceptible_cells
+        # not kept, unlike susceptible_cells
+        for _, polarity, marginal in expand_cells(dev, bank, row, dev._draw_cells(bank, row)):
             n_cells += 1
-            n_true += cell.polarity
-            n_marginal += cell.marginal
+            n_true += polarity
+            n_marginal += marginal
     assert_rate(n_cells, len(rows) * SUPPORT_BLOCK,
                 dev.noise.susceptibility_density * dev.density_factor / SUPPORT_BLOCK)
     assert_rate(n_true, n_cells, 0.5)
@@ -269,8 +296,8 @@ def test_activation_and_flip_rates_match_the_model():
     # exactly when it is active in the query
     dev = new_sim_device(73, 74, noise=NoiseConfig(p_flip_given_susceptible=1.0))
     marginal = eligible_cells(dev, ch) & {
-        c.location for bank in ch.bank_range for row in victim_rows(ch.pattern)
-        for c in dev.susceptible_cells(bank, row) if c.marginal}
+        location for bank in ch.bank_range for row in victim_rows(ch.pattern)
+        for location, _, is_marginal in expand_cells(dev, bank, row) if is_marginal}
     seeds = range(-(-20_000 // len(marginal)))
     active = sum(len(marginal & run_query(dev, ch.with_measurements(1), s).locations)
                  for s in seeds)
@@ -418,8 +445,8 @@ class TestHammerSemantics:
         polarity = {}
         for bank in ch.bank_range:
             for row in victim_rows(ch.pattern):
-                for cell in dev.susceptible_cells(bank, row):
-                    polarity[cell.location] = cell.polarity
+                for location, cell_polarity, _ in expand_cells(dev, bank, row):
+                    polarity[location] = cell_polarity
         for flips in hammer(dev, ch, 8):
             for f in flips:
                 init_bit = (0x55 >> f.bit) & 1
