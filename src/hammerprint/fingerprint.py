@@ -152,32 +152,38 @@ def encode_fingerprint(fp: Fingerprint) -> str:
     return "\n".join(lines) + "\n"
 
 
-# One canonical location line, as ``encode_fingerprint`` writes it. Digit
-# runs stop at 640, the lowest int-string limit CPython accepts, so ``int``
-# never refuses a field taken here; a longer field goes to
-# ``_parse_location``, where the limit in force decides.
-_CANONICAL_LOCATION = re.compile(
-    r"^b([0-9]{1,640}):r([0-9]{1,640}):c([0-9]{1,640}):i([0-7])$\n?", re.MULTILINE)
+# A canonical body, as ``encode_fingerprint`` writes it, less the ``b`` of
+# its first line: location lines, each ending in a newline. Digit runs
+# stop at 640, the lowest int-string limit CPython accepts, so ``int``
+# never refuses a field taken here; a longer field sends the text to the
+# line reader, where the limit in force decides.
+_LINE = r"[0-9]{1,640}:r[0-9]{1,640}:c[0-9]{1,640}:i[0-7]\n"
+_CANONICAL_BODY = re.compile(f"{_LINE}(?:b{_LINE})*")
+_FIELD_BREAKS = str.maketrans(":", " ", "brci")
 
 
 def decode_fingerprint(text: str) -> Fingerprint:
     """Parse a fingerprint file by the profile line rule: key-less lines
     are locations, and ``challenge``, ``time`` and ``hint`` the headers.
 
-    Canonical location lines are taken in one regex pass and cannot
-    fail; every other line goes through the line reader in file order,
-    so the accepted inputs and the first error are those of parsing
-    each line on its own.
+    Where the text from its first ``\nb`` on is canonical location lines,
+    each ending in ``\n``, that body is tokenized in one pass and cannot
+    fail, and only the head before it goes through the line reader; any
+    other text goes through the line reader whole. The line reader takes
+    each line on its own in file order, so the accepted inputs and the
+    first error are its own.
     """
-    # split() leaves the unmatched text at every fifth place and each
-    # canonical line's four fields in the places between
-    parts = _CANONICAL_LOCATION.split(text)
-    fields = zip(*(map(int, parts[k::5]) for k in range(1, 5)))
+    head, sep, body = text.partition("\nb")
+    if not (sep and _CANONICAL_BODY.fullmatch(body)):
+        head, body = text, ""
+    tokens = body.translate(_FIELD_BREAKS).split()
+    values = {token: int(token) for token in set(tokens)}
+    fields = map(values.__getitem__, tokens)
     # the pattern admits only non-negative integers and bits 0-7, so the
     # checks in FlipLocation.__new__ cannot fail and are skipped
-    locations = frozenset(map(tuple.__new__, repeat(FlipLocation), fields))
+    locations = frozenset(map(tuple.__new__, repeat(FlipLocation), zip(fields, fields, fields, fields)))
     others = set()
-    headers = read_profile("".join(parts[::5]), FingerprintError, "fingerprint",
+    headers = read_profile(head, FingerprintError, "fingerprint",
                            single=("challenge", "time", "hint"),
                            bare=lambda line: others.add(_parse_location(line)))
     if "challenge" not in headers:

@@ -11,7 +11,9 @@ and could not pass. Callers may edit ``records`` directly: the next
 ``identify`` indexes the records added since the last, and an appended
 fingerprint costs nothing; a removed key, a replaced first fingerprint or
 a new ``challenge_hash`` makes it rebuild the whole index, as the first
-one after a load does. Identification never changes the records.
+one after a load does. ``generate_new_id`` likewise reads only the keys
+added since its last call, or all after a removal. Identification never
+changes the records.
 """
 
 from __future__ import annotations
@@ -64,6 +66,8 @@ class FingerprintDataset:
         # the id_counter of the dataset.meta this was loaded from, outside
         # repr and ==: ids below it may name deleted devices
         self._id_counter = 0
+        # the keys _one_past last saw and its value for them, outside repr and ==
+        self._minted: tuple[set[str], int] = (set(), 1)
         self._reset()
 
     def _reset(self) -> None:
@@ -147,7 +151,12 @@ def generate_new_id(dataset: FingerprintDataset) -> str:
 
 
 def _next_index(dataset: FingerprintDataset) -> int:
-    return max(dataset._id_counter, _one_past(dataset.records))
+    names, past = dataset._minted
+    keys = dataset.records.keys()
+    if keys != names:  # compared in C; only added keys are read, unless one is gone
+        past = max(past, _one_past(keys - names)) if keys >= names else _one_past(keys)
+        dataset._minted = set(keys), past
+    return max(dataset._id_counter, past)
 
 
 def _one_past(names) -> int:

@@ -450,6 +450,13 @@ def messy_fingerprint_texts(draw):
 @example("b1:r2:c3:i4\nb1:r2:c3:i4\x85challenge=c\n b0:r0:c0:i0\n#b9:r9:c9:i9\n")
 @example("challenge=c\nb1:r2:c3:i4\nb\u0663:r2:c3:i4\nb1:r2:c3:i8\nchallenge=c\n")
 @example("challenge=c\nb1:r2:c3:i4\rb5:r6:c7:i0\nb1:r2:c3:i07")
+# the edges of the canonical tier: no last newline, a trailing blank line, a
+# location before the header, a field past the 640-digit bound, no locations
+@example("challenge=c\nb1:r2:c3:i4\nb5:r6:c7:i0")
+@example("challenge=c\nb1:r2:c3:i4\nb5:r6:c7:i0\n\n")
+@example("b1:r2:c3:i4\nchallenge=c\nb5:r6:c7:i0\n")
+@example("challenge=c\nb1:r2:c3:i4\nb5:r" + "6" * 641 + ":c7:i0\n")
+@example("challenge=c\n")
 def test_decode_agrees_with_the_line_parser(text):
     assert (decode_outcome(decode_fingerprint, text)
             == decode_outcome(reference_decode_fingerprint, text))

@@ -242,3 +242,29 @@ dev_ids = st.one_of(
 def test_new_id_follows_the_regex_rule(ids):
     ds = dataset_with_ids(ids)
     assert generate_new_id(ds) == regex_new_id(ds)
+
+
+id_edits = st.one_of(
+    edits,
+    st.tuples(st.just("reassign"), st.lists(keys | dev_ids, max_size=4)),
+    st.tuples(st.just("clear")),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(keys | dev_ids, max_size=6), st.lists(id_edits, max_size=12))
+@example(["dev-1", "dev-5"], [("delete", "dev-5"), ("set", "dev-2", [{0}])])
+@example(["dev-3"], [("reassign", ["dev-1"]), ("clear",), ("set", "dev-2", [{0}])])
+def test_new_id_follows_every_edit_of_records(ids, steps):
+    """``generate_new_id`` reads only the keys added since its last call,
+    so each edit of ``records`` must still reach the id it mints."""
+    ds = dataset_with_ids(ids)
+    assert generate_new_id(ds) == regex_new_id(ds)
+    for edit in steps:
+        if edit[0] == "reassign":
+            ds.records = dataset_with_ids(edit[1]).records
+        elif edit[0] == "clear":
+            ds.records.clear()
+        else:
+            apply(ds, edit)
+        assert generate_new_id(ds) == regex_new_id(ds)

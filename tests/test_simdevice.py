@@ -107,8 +107,11 @@ class TestDeterminism:
         assert hammer(toy_device, ch, 5) == hammer(toy_device, ch, 5)
 
     def test_susceptible_cells_pure(self):
-        dev = new_sim_device(7, 8)
-        assert dev.susceptible_cells(0, 2) == dev.susceptible_cells(0, 2)
+        # a device keeps each row it draws, so compare fresh devices, not one twice
+        first = new_sim_device(7, 8).susceptible_cells(0, 2)
+        again = new_sim_device(7, 8).susceptible_cells(0, 2)
+        assert first == again and first is not again
+        assert new_sim_device(7, 9).susceptible_cells(0, 2) != first
 
     @pytest.mark.parametrize("round_trip", [copy.deepcopy,
                                             lambda dev: pickle.loads(pickle.dumps(dev))])
