@@ -12,7 +12,9 @@ import math
 import random
 import statistics
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import accumulate, compress, filterfalse, islice, repeat
+from operator import le, ne
 from typing import NamedTuple
 
 from . import gf2
@@ -200,7 +202,7 @@ def timing_threshold(samples: list[float]) -> float:
 
     Deterministic: candidate splits are scanned in sorted order and the
     first maximizer wins. Raises ValueError on fewer than two samples, on
-    a non-finite sample, or when every sample is identical.
+    a non-finite sample, when every sample is identical, or on overflow.
     """
     if len(samples) < 2:
         raise ValueError("need at least two samples")
@@ -210,24 +212,24 @@ def timing_threshold(samples: list[float]) -> float:
     if xs[0] == xs[-1]:
         raise ValueError("all samples identical: no separation")
     n = len(xs)
-    prefix = [0.0]
-    for v in xs:
-        prefix.append(prefix[-1] + v)
+    prefix = list(accumulate(xs, initial=0.0))
     total = prefix[-1]
     best_var = -1.0
     best_split = None
-    for k in range(1, n):
-        if xs[k - 1] == xs[k]:
-            continue
-        w0 = k / n
-        w1 = 1.0 - w0
-        mu0 = prefix[k] / k
-        mu1 = (total - prefix[k]) / (n - k)
-        var = w0 * w1 * (mu0 - mu1) ** 2
-        if var > best_var:
-            best_var = var
-            best_split = k
-    assert best_split is not None
+    try:
+        # only a split between two different values is a candidate
+        for k in compress(range(1, n), map(ne, xs, islice(xs, 1, None))):
+            w0 = k / n
+            mu0 = prefix[k] / k
+            mu1 = (total - prefix[k]) / (n - k)
+            var = w0 * (1.0 - w0) * (mu0 - mu1) ** 2
+            if var > best_var:
+                best_var = var
+                best_split = k
+    except OverflowError:  # the squared gap of the means exceeds the float range
+        best_split = None
+    if best_split is None:
+        raise ValueError("sums overflow: no separation")
     return (xs[best_split - 1] + xs[best_split]) / 2.0
 
 
@@ -256,40 +258,59 @@ class ProbeConfig:
             raise GeometryError("partners_per_base must be at least 2")
 
 
+def _randranges(rng: random.Random, space: int):
+    """The ``rng.randrange(space)`` draws for ``space > 0``, made in C: each is
+    ``rng.getrandbits(space.bit_length())`` drawn again until below ``space``."""
+    return filter(space.__gt__, map(rng.getrandbits, repeat(space.bit_length())))
+
+
+def _spread(xs: list) -> float:
+    """``statistics.pstdev(xs)``; a constant class is 0.0 at once, as ``pstdev``
+    gives it, without turning each sample into an exact Fraction."""
+    return 0.0 if min(xs) == max(xs) else statistics.pstdev(xs)
+
+
+def _no_usable_gap(lo: list, hi: list) -> bool:
+    """Whether the class means lie under ``MIN_SEPARATION`` spreads apart, as
+    ``statistics`` decides it. Sums that overflow give no usable gap."""
+    try:
+        spread = max(_spread(lo), _spread(hi), 1e-12)
+        return (statistics.fmean(hi) - statistics.fmean(lo)) / spread < MIN_SEPARATION
+    except OverflowError:  # math.fsum's, or statistics.pstdev's before Python 3.11
+        return True
+
+
 def recover_bank_functions(oracle, geom: DramGeometry, cfg: ProbeConfig = ProbeConfig()) -> list[int]:
     """Recover bank XOR masks from an access-latency oracle.
 
     ``oracle(a, b)`` returns the latency of alternating accesses to two
     physical addresses; an oracle with a ``latencies(base, partners)``
     method (``simdevice.make_timing_oracle``'s) is asked once per base for
-    the list of ``oracle(base, p)``. Returns the canonical GF(2) basis of
-    the bank functions' row space. Raises RecoveryError when the latency
-    populations do not separate or too few conflicts are observed.
+    the list of ``oracle(base, p)``. Each base and its partners are, in
+    order, ``randrange(geom.address_space)`` draws of ``random.Random(cfg.seed)``.
+    Returns the canonical GF(2) basis of the bank functions' row space.
+    Raises RecoveryError when too few bases separate (decided exactly as by
+    ``statistics``; sums that overflow do not) or too few conflicts are seen.
     """
-    rng = random.Random(cfg.seed)
-    space = geom.address_space
+    draws = _randranges(random.Random(cfg.seed), geom.address_space)
     diffs: list[int] = []
     good_bases = 0
     batch = getattr(oracle, "latencies", None)
     for _ in range(cfg.num_bases):
-        base = rng.randrange(space)
-        partners = [rng.randrange(space) for _ in range(cfg.partners_per_base)]
-        lats = batch(base, partners) if batch else [oracle(base, p) for p in partners]
+        base = next(draws)
+        partners = list(islice(draws, cfg.partners_per_base))
+        lats = batch(base, partners) if batch else list(map(oracle, repeat(base), partners))
         try:
             thr = timing_threshold(lats)
         except ValueError:
             continue
-        lo = [t for t in lats if t < thr]
-        hi = [t for t in lats if t >= thr]
-        if not lo or not hi:
-            continue
-        spread = max(statistics.pstdev(lo), statistics.pstdev(hi), 1e-12)
-        if (statistics.fmean(hi) - statistics.fmean(lo)) / spread < MIN_SEPARATION:
+        slow = partial(le, thr)  # t >= thr
+        lo = list(filterfalse(slow, lats))
+        hi = list(filter(slow, lats))
+        if not lo or not hi or _no_usable_gap(lo, hi):
             continue
         good_bases += 1
-        for p, t in zip(partners, lats):
-            if t >= thr and p != base:
-                diffs.append(base ^ p)
+        diffs += map(base.__xor__, filter(base.__ne__, compress(partners, map(slow, lats))))
     if good_bases < MIN_GOOD_BASES:
         raise RecoveryError(
             f"only {good_bases} of {cfg.num_bases} bases showed a usable conflict gap"

@@ -10,19 +10,21 @@ def rref(rows: list[int]) -> list[int]:
     set bit of its row. The result is the canonical basis of the row
     space: two lists span the same space iff their rref is equal.
     """
-    basis: list[int] = []
+    pivots: dict[int, int] = {}  # lowest set bit -> the one row whose lowest bit it is
     for row in rows:
-        for b in basis:
-            low = b & -b
-            if row & low:
-                row ^= b
-        if row == 0:
-            continue
-        low = row & -row
-        basis = [b ^ row if b & low else b for b in basis]
-        basis.append(row)
-    basis.sort(key=lambda r: r & -r)
-    return basis
+        while row and (low := row & -row) in pivots:
+            row ^= pivots[low]
+        if row:
+            pivots[low] = row
+    # back-substitute from the highest pivot down, clearing every higher pivot
+    reduced: dict[int, int] = {}
+    for low in sorted(pivots, reverse=True):
+        row = pivots[low]
+        for high, high_row in reduced.items():
+            if row & high:
+                row ^= high_row
+        reduced[low] = row
+    return list(reversed(reduced.values()))
 
 
 def rank(rows: list[int]) -> int:

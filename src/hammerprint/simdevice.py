@@ -304,26 +304,30 @@ class _TimingOracle:
 
     def latencies(self, base: int, partners) -> list[float]:
         dev, mapping, geom = self.dev, self.dev.mapping, self.dev.geom
-        home_bank, home_row, _ = phys_to_dram(base, mapping, geom)
+        phys_to_dram(base, mapping, geom)  # raises the base's range error
         funcs, row_shift, row_mask, _, _ = check_consistent(mapping, geom)
-        space, noise = geom.address_space, dev.noise
-        head = None
+        sigma = dev.noise.timing_sigma
+        if (min(partners, default=0) < 0 or max(partners, default=0) >= geom.address_space
+                or (sigma > 0 and geom.address_bits > 135)):
+            # a partner out of range, or a pair the PRF may not fit: the
+            # pairs, asked in order, raise what the first failing one raises
+            return [self(base, p) for p in partners]
+        rows = row_mask << row_shift
+        conflict = BASE_LATENCY + dev.noise.timing_conflict_gap
         lats = []
         for p in partners:
-            if not 0 <= p < space:
-                phys_to_dram(p, mapping, geom)  # raises its range error
-            bank = 0
-            for i, f in funcs:
-                bank |= ((p & f).bit_count() & 1) << i
+            d = p ^ base
             lat = BASE_LATENCY
-            if bank == home_bank and (p >> row_shift) & row_mask != home_row:
-                lat += noise.timing_conflict_gap
-            if noise.timing_sigma > 0:
-                _check_probe_width(dev, base, p)
-                if head is None:
-                    head = _stream_state("time", dev.device_key, self.rng_seed, base)
-                lat += noise.timing_sigma * _normal(_stream(head, p))
+            if d & rows:  # another row, in the same bank when no mask sees d
+                for _, f in funcs:
+                    if (d & f).bit_count() & 1:
+                        break
+                else:
+                    lat = conflict
             lats.append(lat)
+        if sigma > 0 and partners:
+            head = _stream_state("time", dev.device_key, self.rng_seed, base)
+            lats = [lat + sigma * _normal(_stream(head, p)) for lat, p in zip(lats, partners)]
         return lats
 
 
@@ -332,10 +336,10 @@ def make_timing_oracle(dev: SimDevice, rng_seed: int) -> _TimingOracle:
 
     ``oracle(a, b)`` is ``access_time(dev, a, b, rng_seed)``. The batch
     ``oracle.latencies(base, partners)`` follows the same latency rule: for
-    non-empty ``partners`` it returns the list of ``oracle(base, p)`` float
-    for float, or raises what the first failing pair would, but resolves
-    ``base`` and absorbs the ``("time", device key, rng_seed, base)`` stream
-    head once.
+    a non-empty list ``partners`` it returns the list of ``oracle(base, p)``
+    float for float, or raises what the first failing pair would, but
+    resolves ``base``, tests each ``p ^ base`` for a conflict, and absorbs
+    the ``("time", device key, rng_seed, base)`` stream head once.
     """
     return _TimingOracle(dev, rng_seed)
 

@@ -1,6 +1,9 @@
 import itertools
 import random
 
+from hypothesis import given, settings, strategies as st
+
+import reference_recovery as reference
 from hammerprint import gf2
 
 
@@ -55,3 +58,21 @@ def test_null_space_orthogonal_and_complete():
         for v in basis:
             assert all((v & r).bit_count() % 2 == 0 for r in rows)
         assert len(basis) == n_bits - gf2.rank(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40).flatmap(
+    lambda bits: st.lists(st.integers(0, 2**bits - 1), max_size=60)))
+def test_rref_matches_the_reference(rows):
+    # the earlier rref reduced each row against every basis row
+    dependent = rows + [a ^ b ^ c for a, b, c in zip(rows, rows[1:], rows[2:])]
+    for case in (rows, dependent, dependent[::-1]):
+        assert gf2.rref(case) == reference.rref(case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40).flatmap(
+    lambda bits: st.tuples(st.lists(st.integers(0, 2**bits - 1), max_size=60), st.just(bits))))
+def test_null_space_matches_the_reference(case):
+    rows, n_bits = case
+    assert gf2.null_space(rows, n_bits) == reference.null_space(rows, n_bits)
