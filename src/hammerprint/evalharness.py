@@ -123,13 +123,17 @@ def _pairing_values(new_queries: list[Fingerprint],
                     d_size: int,
                     rng: random.Random,
                     max_cases: int,
-                    exclude_self: bool) -> list[tuple[tuple[int, ...], int, float]]:
+                    exclude_self: bool) -> list[tuple[str, int, int, float]]:
     """Overlap of each candidate new query against every d_size database
     union, exhaustively when small enough, otherwise a seeded sample.
 
-    With ``exclude_self`` both pools are the same query list and the new
-    query never appears in its own database draw. Unsampled cases come
-    grouped by combination, so each combination is one run of cases.
+    Each row is ``(label, i, len(new_queries[i].locations), value)``, the
+    reliability report's row, where ``label`` joins the database draw's
+    indices by "+". With ``exclude_self`` both pools are the same query
+    list and the new query never appears in its own database draw. Rows
+    come grouped by combination, and each combination, or each run of
+    one in a sample of the flat case list, is scored and labelled in one
+    pass: its database mask is ORed and its label joined once.
 
     The overlaps are counted on bits. Each distinct location of either
     pool gets its own bit number, once per call, so a query becomes one
@@ -137,7 +141,8 @@ def _pairing_values(new_queries: list[Fingerprint],
     the OR of its members' ints. Distinct locations have distinct bits,
     so the popcount of ``new & database`` is exactly
     ``len(new.locations & union.locations)`` and each value is the same
-    float ``jaccard_prime`` returns.
+    float ``jaccard_prime`` returns. One list as both pools has its ints
+    made once.
 
     Both pools are checked once, before any case is scored: a database
     pool of mixed challenges raises, then the first new query that is
@@ -156,41 +161,29 @@ def _pairing_values(new_queries: list[Fingerprint],
     pool = union_of(db_queries)
     for fp in new_queries:
         jaccard_prime(fp, pool)
-    combos = list(itertools.combinations(range(n_db), d_size))
-    cases = []
-    for combo in combos:
-        in_combo = set(combo)
-        for i in range(len(new_queries)):
-            if exclude_self and i in in_combo:
-                continue
-            cases.append((combo, i))
-    if len(cases) > max_cases:
-        cases = rng.sample(cases, max_cases)
+    every = range(len(new_queries))
+    groups = [(combo, [i for i in every if i not in combo] if exclude_self else every)
+              for combo in itertools.combinations(range(n_db), d_size)]
+    if sum(len(run) for _, run in groups) > max_cases:
+        cases = rng.sample([(combo, i) for combo, run in groups for i in run], max_cases)
+        groups = ((combo, [i for _, i in run])
+                  for combo, run in itertools.groupby(cases, key=itemgetter(0)))
     bit_of: dict = {}  # location -> its bit number
 
     def bits_of(fp: Fingerprint) -> int:
         return sum(1 << bit_of.setdefault(loc, len(bit_of)) for loc in fp.locations)
 
     new_bits = [bits_of(fp) for fp in new_queries]
-    db_bits = [bits_of(fp) for fp in db_queries]
-    new_sizes = [len(fp.locations) for fp in new_queries]
-    out = []
-    for combo, run in itertools.groupby(cases, key=itemgetter(0)):
+    db_bits = new_bits if db_queries is new_queries else [bits_of(fp) for fp in db_queries]
+    sizes = [len(fp.locations) for fp in new_queries]
+    rows = []
+    for combo, run in groups:
         mask = 0
         for k in combo:
             mask |= db_bits[k]
-        for _, i in run:
-            out.append((combo, i, (new_bits[i] & mask).bit_count() / new_sizes[i]))
-    return out
-
-
-def _labelled(pairings):
-    """Pairings with each combination as its "a+b+c" label, built once."""
-    labels: dict[tuple[int, ...], str] = {}
-    for combo, i, value in pairings:
-        if combo not in labels:
-            labels[combo] = "+".join(map(str, combo))
-        yield labels[combo], i, value
+        label = "+".join(map(str, combo))
+        rows += [(label, i, sizes[i], (new_bits[i] & mask).bit_count() / sizes[i]) for i in run]
+    return rows
 
 
 def reliability_experiment(dev: SimDevice, ch: DramChallenge,
@@ -206,14 +199,11 @@ def reliability_experiment(dev: SimDevice, ch: DramChallenge,
         raise ExperimentError("d_size must be smaller than n_queries")
     queries = _make_queries(dev, ch, seed, n_queries)
     rng = random.Random(f"{seed}:combos")
-    pairings = _pairing_values(queries, queries, d_size, rng, max_cases, exclude_self=True)
-    flips = [len(q.locations) for q in queries]
-    rows = [(label, i, flips[i], value) for label, i, value in _labelled(pairings)]
-    values = [value for _, _, value in pairings]
+    rows = _pairing_values(queries, queries, d_size, rng, max_cases, exclude_self=True)
     return ExperimentReport(
         name="reliability",
         columns=("database_queries", "new_query", "new_query_flips", "jaccard_prime"),
-        rows=rows, values=values,
+        rows=rows, values=list(map(itemgetter(3), rows)),
     )
 
 
@@ -228,16 +218,15 @@ def uniqueness_experiment(dev_a: SimDevice, dev_b: SimDevice, ch: DramChallenge,
     qa = _make_queries(dev_a, ch, seed, n_queries, tag="a")
     qb = _make_queries(dev_b, ch, seed, n_queries, tag="b")
     rng = random.Random(f"{seed}:combos")
-    rows, values = [], []
+    rows = []
     for direction, new_qs, db_qs in (("a_vs_b", qa, qb), ("b_vs_a", qb, qa)):
-        for label, i, value in _labelled(_pairing_values(new_qs, db_qs, d_size, rng,
-                                                         max_cases // 2, exclude_self=False)):
-            rows.append((direction, label, i, value))
-            values.append(value)
+        rows += [(direction, label, i, value) for label, i, _, value
+                 in _pairing_values(new_qs, db_qs, d_size, rng, max_cases // 2,
+                                    exclude_self=False)]
     return ExperimentReport(
         name="uniqueness",
         columns=("direction", "database_queries", "new_query", "jaccard_prime"),
-        rows=rows, values=values,
+        rows=rows, values=list(map(itemgetter(3), rows)),
     )
 
 

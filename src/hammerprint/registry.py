@@ -146,7 +146,9 @@ def generate_new_id(dataset: FingerprintDataset) -> str:
     """Next free id: dev-<n> with n one past the highest existing index, and
     no lower than the loaded ``id_counter``, so a deleted id is not reused.
     A load also raises that floor past every dev-<n> that a file or a
-    symlink in the dataset directory holds."""
+    symlink in the dataset directory holds, and past every record it
+    loaded, so a device enrolled by an ``enroll`` interrupted before its
+    ``dataset.meta`` was written keeps its id after it is deleted."""
     return f"dev-{_next_index(dataset)}"
 
 
@@ -353,6 +355,9 @@ def load_dataset(directory: str) -> FingerprintDataset:
                     raise ChallengeMismatchError(
                         f"fingerprint under {dev_id!r} does not match the dataset challenge")
             dataset.records[dev_id] = DeviceRecord(dev_id, fps)
+    # an enroll cut short before its meta landed leaves a record past the
+    # saved id_counter; once loaded it may have been served, so it is a floor too
+    dataset._id_counter = max(dataset._id_counter, _one_past(dataset.records))
     return dataset
 
 

@@ -72,6 +72,18 @@ class TestReliability:
         assert all(0.0 <= v <= 1.0 for v in a.values)
         assert len(a.rows) == len(a.values) <= 200
 
+    @pytest.mark.parametrize("max_cases", [25000, 40])
+    def test_rows_carry_the_values_and_the_new_query_flips(self, max_cases):
+        dev = new_sim_device(3, 4)
+        ch = default_challenge()
+        rep = reliability_experiment(dev, ch, n_queries=6, d_size=2, seed=6,
+                                     max_cases=max_cases)
+        queries = _make_queries(dev, ch, seed=6, n=6)
+        assert len(rep.rows) == min(max_cases, 15 * 4)
+        assert rep.values == [r[3] for r in rep.rows]
+        for k in range(len(rep.rows)):
+            assert rep.rows[k][2] == len(queries[rep.rows[k][1]].locations)
+
     def test_insufficient_queries(self):
         dev = new_sim_device(3, 4)
         with pytest.raises(ExperimentError):
@@ -113,8 +125,8 @@ class TestUniqueness:
         ch = default_challenge()
         queries = _make_queries(dev, ch, seed=8, n=6)
         rng1, rng2 = random.Random("x"), random.Random("x")
-        self_vals = [v for _, _, v in _pairing_values(queries, queries, 2, rng1,
-                                                      500, exclude_self=True)]
+        self_vals = [row[3] for row in _pairing_values(queries, queries, 2, rng1,
+                                                       500, exclude_self=True)]
         rep = reliability_experiment(dev, ch, n_queries=6, d_size=2, seed=8, max_cases=500)
         assert self_vals == rep.values
 

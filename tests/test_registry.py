@@ -596,6 +596,40 @@ class TestPersistence:
         assert after.records["dev-1"].fingerprints == before.records["dev-1"].fingerprints
         assert generate_new_id(after) == "dev-2"
 
+    def test_a_device_saved_without_its_meta_keeps_its_id_after_deletion(self, tmp_path,
+                                                                          monkeypatch):
+        import hammerprint.registry as registry_mod
+
+        ds = FingerprintDataset(H)
+        enroll(ds, generate_new_id(ds), fp(block(0, 8)))
+        path = str(tmp_path / "ds")
+        save_dataset(ds, path)
+
+        # fault injection: dev-1/1.fp and dev-2/1.fp land, then the meta's rename crashes
+        real_replace = os.replace
+        calls = []
+
+        def failing_replace(src, dst):
+            calls.append(os.path.basename(dst))
+            if len(calls) == 3:
+                os.unlink(src)
+                raise OSError("simulated crash before rename")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(registry_mod.os, "replace", failing_replace)
+        enroll(ds, generate_new_id(ds), fp(block(50, 8)))
+        with pytest.raises(OSError):
+            save_dataset(ds, path)
+        monkeypatch.setattr(registry_mod.os, "replace", real_replace)
+        assert calls == ["1.fp", "1.fp", "dataset.meta"]
+
+        loaded = load_dataset(path)
+        assert set(loaded.records) == {"dev-1", "dev-2"}  # dev-2 loads and may be served
+        del loaded.records["dev-2"]
+        save_dataset(loaded, path)
+        assert generate_new_id(loaded) == "dev-3"
+        assert generate_new_id(load_dataset(path)) == "dev-3"
+
     def test_load_keeps_one_object_per_distinct_location_of_a_device(self, tmp_path):
         ch = default_challenge()
         ds = FingerprintDataset(challenge_hash(ch))

@@ -130,7 +130,7 @@ def brute_pairing_values(new_qs, db_qs, d_size, rng, max_cases, exclude_self):
     for combo, i in cases:
         db = frozenset().union(*(db_qs[k].locations for k in combo))
         new = new_qs[i].locations
-        out.append((combo, i, len(new & db) / len(new)))
+        out.append(("+".join(map(str, combo)), i, len(new), len(new & db) / len(new)))
     return out
 
 
@@ -163,10 +163,31 @@ def test_pairing_values_match_brute_force(args):
     assert got == want
 
 
+@FEW
+@given(pairing_inputs())
+def test_pairing_values_same_list_shortcut_changes_nothing(args):
+    # one list as both pools makes its bitmasks once; an equal copy makes them twice
+    qs, _, d_size, seed, max_cases, exclude_self = args
+    d_size = min(d_size, len(qs) - 1)
+    same = _pairing_values(qs, qs, d_size, random.Random(seed), max_cases, exclude_self)
+    copied = _pairing_values(qs, list(qs), d_size, random.Random(seed), max_cases, exclude_self)
+    assert same == copied
+
+
 def seven_queries():
     rng = random.Random(3)
     return [Fingerprint({FlipLocation(0, 0, rng.randrange(50), 0) for _ in range(20)}, H)
             for _ in range(7)]
+
+
+def test_sampled_combination_split_into_separate_runs_keeps_its_label():
+    qs = seven_queries()
+    new_qs = qs[:4]
+    got = _pairing_values(new_qs, qs, 3, random.Random(5), 30, exclude_self=False)
+    # the sample really does bring some combination back after another one
+    runs = [label for label, _ in itertools.groupby(row[0] for row in got)]
+    assert len(runs) > len(set(runs))
+    assert got == brute_pairing_values(new_qs, qs, 3, random.Random(5), 30, exclude_self=False)
 
 
 @pytest.mark.parametrize("max_cases", [25000, 30, 1])
