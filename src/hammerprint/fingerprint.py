@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import repeat
 from operator import index, itemgetter
 from typing import Iterable
 
@@ -69,7 +68,7 @@ class FlipLocation(tuple):
 
 @dataclass(frozen=True)
 class Fingerprint:
-    locations: frozenset[FlipLocation]
+    locations: frozenset[tuple[int, int, int, int]]
     challenge_hash: str
     device_hint: str | None = None
     query_time: str | None = None
@@ -125,7 +124,7 @@ def union_of(fps: list[Fingerprint]) -> Fingerprint:
     if not fps:
         raise FingerprintError("cannot union an empty fingerprint list")
     _require_same_challenge(*fps)
-    locations: frozenset[FlipLocation] = frozenset().union(*(fp.locations for fp in fps))
+    locations: frozenset[tuple[int, int, int, int]] = frozenset().union(*(fp.locations for fp in fps))
     return Fingerprint(locations, fps[0].challenge_hash)
 
 
@@ -171,7 +170,9 @@ def decode_fingerprint(text: str) -> Fingerprint:
     fail, and only the head before it goes through the line reader; any
     other text goes through the line reader whole. The line reader takes
     each line on its own in file order, so the accepted inputs and the
-    first error are its own.
+    first error are its own. Either way each location is a plain
+    ``(bank, row, column, bit)`` tuple of ints, one that ``FlipLocation``
+    accepts and equals.
     """
     head, sep, body = text.partition("\nb")
     if not (sep and _CANONICAL_BODY.fullmatch(body)):
@@ -179,9 +180,7 @@ def decode_fingerprint(text: str) -> Fingerprint:
     tokens = body.translate(_FIELD_BREAKS).split()
     values = {token: int(token) for token in set(tokens)}
     fields = map(values.__getitem__, tokens)
-    # the pattern admits only non-negative integers and bits 0-7, so the
-    # checks in FlipLocation.__new__ cannot fail and are skipped
-    locations = frozenset(map(tuple.__new__, repeat(FlipLocation), zip(fields, fields, fields, fields)))
+    locations = frozenset(zip(fields, fields, fields, fields))
     others = set()
     headers = read_profile(head, FingerprintError, "fingerprint",
                            single=("challenge", "time", "hint"),
@@ -193,11 +192,11 @@ def decode_fingerprint(text: str) -> Fingerprint:
     return Fingerprint(locations, headers["challenge"], headers.get("hint"), headers.get("time"))
 
 
-def _parse_location(line: str) -> FlipLocation:
+def _parse_location(line: str) -> tuple[int, int, int, int]:
     try:
         b, r, c, i = line.split(":")
         if b[0] != "b" or r[0] != "r" or c[0] != "c" or i[0] != "i":
             raise ValueError
-        return FlipLocation(int(b[1:]), int(r[1:]), int(c[1:]), int(i[1:]))
+        return tuple(FlipLocation(int(b[1:]), int(r[1:]), int(c[1:]), int(i[1:])))
     except (ValueError, IndexError):
         raise FingerprintError(f"bad location line: {line!r}") from None

@@ -18,11 +18,9 @@ changes the records.
 
 from __future__ import annotations
 
-import gc
 import os
 import re
 import tempfile
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -31,7 +29,6 @@ from .fingerprint import (
     ChallengeMismatchError,
     Fingerprint,
     FingerprintError,
-    FlipLocation,
     decode_fingerprint,
     encode_fingerprint,
     jaccard,
@@ -75,7 +72,7 @@ class FingerprintDataset:
         # representative maps to the key of the record holding it, or to a
         # list of keys when several do; ``_indexed`` is the representative
         # indexed under each key, under challenge ``_indexed_hash``.
-        self._owners: dict[FlipLocation, str | list[str]] = {}
+        self._owners: dict[tuple[int, int, int, int], str | list[str]] = {}
         self._indexed: dict[str, Fingerprint] = {}
         self._indexed_hash = self.challenge_hash
 
@@ -247,7 +244,10 @@ def enroll(dataset: FingerprintDataset, dev_id: str, fp: Fingerprint) -> None:
 # file is replaced atomically. A whole save is not: an interrupted save can
 # leave some files new and others old, and nothing is fsync'd.
 #
-# A load keeps one object per distinct location of a device: each file's
+# A loaded location is a plain (bank, row, column, bit) tuple of ints, as
+# decode_fingerprint returns it, which the collector untracks; simulator
+# output holds FlipLocations, and the two kinds compare and hash alike. A
+# load keeps one object per distinct location of a device: each file's
 # locations are the objects the device's earlier files decoded, so a
 # device's memory grows with its distinct flips, not with fingerprints
 # times flips. New ids pass every dev-<n> that a file or a symlink in the
@@ -330,31 +330,30 @@ def load_dataset(directory: str) -> FingerprintDataset:
     with os.scandir(directory) as listing:
         entries = sorted(listing, key=attrgetter("name"))
     dataset._id_counter = max(dataset._id_counter, _one_past_taken(entries))
-    with _collector_paused():
-        for entry in entries:
-            dev_id, dev_dir = entry.name, entry.path
-            if not entry.is_dir():
-                continue
-            names = _fp_names(dev_dir)
-            if not names:
-                continue  # an enroll interrupted before its first file landed
-            if entry.is_symlink():
-                raise _symlinked(dev_id)
-            expected = [f"{k}.fp" for k in range(1, len(names) + 1)]
-            if names != set(expected):
-                raise DatasetError(
-                    f"{dev_id!r} holds {sorted(names)}, not 1.fp..{len(names)}.fp")
-            fps, seen = [], {}  # seen: each location of this device, as first decoded
-            for name in expected:
-                with open(os.path.join(dev_dir, name), encoding="utf-8") as fh:
-                    fp = decode_fingerprint(fh.read())
-                locs = frozenset(map(seen.setdefault, fp.locations, fp.locations))
-                fps.append(Fingerprint(locs, fp.challenge_hash, fp.device_hint, fp.query_time))
-            for fp in fps:
-                if fp.challenge_hash != dataset.challenge_hash:
-                    raise ChallengeMismatchError(
-                        f"fingerprint under {dev_id!r} does not match the dataset challenge")
-            dataset.records[dev_id] = DeviceRecord(dev_id, fps)
+    for entry in entries:
+        dev_id, dev_dir = entry.name, entry.path
+        if not entry.is_dir():
+            continue
+        names = _fp_names(dev_dir)
+        if not names:
+            continue  # an enroll interrupted before its first file landed
+        if entry.is_symlink():
+            raise _symlinked(dev_id)
+        expected = [f"{k}.fp" for k in range(1, len(names) + 1)]
+        if names != set(expected):
+            raise DatasetError(
+                f"{dev_id!r} holds {sorted(names)}, not 1.fp..{len(names)}.fp")
+        fps, seen = [], {}  # seen: each location of this device, as first decoded
+        for name in expected:
+            with open(os.path.join(dev_dir, name), encoding="utf-8") as fh:
+                fp = decode_fingerprint(fh.read())
+            locs = frozenset(map(seen.setdefault, fp.locations, fp.locations))
+            fps.append(Fingerprint(locs, fp.challenge_hash, fp.device_hint, fp.query_time))
+        for fp in fps:
+            if fp.challenge_hash != dataset.challenge_hash:
+                raise ChallengeMismatchError(
+                    f"fingerprint under {dev_id!r} does not match the dataset challenge")
+        dataset.records[dev_id] = DeviceRecord(dev_id, fps)
     # an enroll cut short before its meta landed leaves a record past the
     # saved id_counter; once loaded it may have been served, so it is a floor too
     dataset._id_counter = max(dataset._id_counter, _one_past(dataset.records))
@@ -372,21 +371,4 @@ def open_dataset(directory: str, challenge_hash: str) -> FingerprintDataset:
         with os.scandir(directory) as listing:
             dataset._id_counter = _one_past_taken(listing)
     return dataset
-
-
-@contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector, then restore the caller's state.
-
-    Every decoded ``FlipLocation`` is a tuple subclass, which the collector
-    keeps tracking, so each collection during a large load walks all the
-    locations decoded so far. Decoding builds no reference cycles.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 

@@ -374,7 +374,9 @@ def decode_outcome(decode, text):
         fp = decode(text)
     except FingerprintError as e:
         return type(e), str(e)
-    assert all(type(loc) is FlipLocation for loc in fp.locations)
+    if decode is decode_fingerprint:  # the reference's locations are FlipLocations
+        assert all(type(loc) is tuple and list(map(type, loc)) == [int] * 4
+                   for loc in fp.locations)
     return fp
 
 

@@ -7,6 +7,7 @@ caller edits ``records`` between calls.
 """
 
 import re
+from itertools import cycle
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -38,8 +39,10 @@ def loc(i: int) -> FlipLocation:
     return FlipLocation(i % 3, i, 2 * i, i % 8)
 
 
-def fp(indices, challenge=H) -> Fingerprint:
-    return Fingerprint(frozenset(map(loc, indices)), challenge)
+def fp(indices, challenge=H, plain=False) -> Fingerprint:
+    """``plain``: plain tuples, as a decode gives, not FlipLocations."""
+    locs = map(loc, indices)
+    return Fingerprint(frozenset(map(tuple, locs) if plain else locs), challenge)
 
 
 def regex_new_id(dataset: FingerprintDataset) -> str:
@@ -105,15 +108,19 @@ def apply(ds: FingerprintDataset, edit) -> None:
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(keys, st.lists(indices, min_size=1, max_size=3)), max_size=6),
-       st.lists(st.tuples(edits, indices, st.sampled_from(THRESHOLDS)), max_size=12))
-def test_indexed_identify_equals_the_scan(initial, steps):
+       st.lists(st.tuples(edits, indices, st.sampled_from(THRESHOLDS)), max_size=12),
+       st.lists(st.booleans(), min_size=1, max_size=8))
+def test_indexed_identify_equals_the_scan(initial, steps, plain):
+    # each enrolled and each query fingerprint in turn takes the next kind,
+    # so the index is often keyed by one kind and probed by the other
+    kinds = cycle(plain)
     ds = FingerprintDataset(H)
     for key, fps in initial:
         for indices_ in fps:
-            enroll(ds, key, fp(indices_))
+            enroll(ds, key, fp(indices_, plain=next(kinds)))
     for edit, query, threshold in steps:
         apply(ds, edit)
-        f_u = fp(query)
+        f_u = fp(query, plain=next(kinds))
         assert outcome(identify, ds, f_u, threshold) == outcome(scan_identify, ds, f_u, threshold)
 
 
