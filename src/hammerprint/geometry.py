@@ -249,12 +249,6 @@ class ProbeConfig:
             raise GeometryError("partners_per_base must be at least 2")
 
 
-def _randranges(rng: random.Random, space: int):
-    """The ``rng.randrange(space)`` draws for ``space > 0``, made in C: each is
-    ``rng.getrandbits(space.bit_length())`` drawn again until below ``space``."""
-    return filter(space.__gt__, map(rng.getrandbits, repeat(space.bit_length())))
-
-
 def _spread(xs: list) -> float:
     """``statistics.pstdev(xs)``; a constant class is 0.0 at once, as ``pstdev``
     gives it, without turning each sample into an exact Fraction."""
@@ -278,12 +272,13 @@ def recover_bank_functions(oracle, geom: DramGeometry, cfg: ProbeConfig = ProbeC
     physical addresses; an oracle with a ``latencies(base, partners)``
     method (``simdevice.make_timing_oracle``'s) is asked once per base for
     the list of ``oracle(base, p)``. Each base and its partners are, in
-    order, ``randrange(geom.address_space)`` draws of ``random.Random(cfg.seed)``.
+    order, ``getrandbits(geom.address_bits)`` draws of ``random.Random(cfg.seed)``,
+    one call per address: uniform over the power-of-two address space.
     Returns the canonical GF(2) basis of the bank functions' row space.
     Raises RecoveryError when too few bases separate (decided exactly as by
     ``statistics``; sums that overflow do not) or too few conflicts are seen.
     """
-    draws = _randranges(random.Random(cfg.seed), geom.address_space)
+    draws = map(random.Random(cfg.seed).getrandbits, repeat(geom.address_bits))
     diffs: list[int] = []
     good_bases = 0
     batch = getattr(oracle, "latencies", None)

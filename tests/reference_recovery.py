@@ -4,9 +4,10 @@
 ``hammerprint.geometry``) and ``rref`` and ``null_space`` (from
 ``hammerprint.gf2``) are kept here with their bodies verbatim and their
 docstrings left out; the recovery calls this file's threshold and null
-space. Partners are ``randrange`` draws, and the separation test uses
-``statistics``. The library's versions must give the same masks and the
-same errors.
+space. The one edit since is the address draw: each base and partner is
+one ``rng.getrandbits(address_bits)`` call, made in this file's own loop.
+The separation test uses ``statistics``. The library's versions must
+give the same masks and the same errors.
 """
 
 from __future__ import annotations
@@ -84,13 +85,12 @@ def timing_threshold(samples: list[float]) -> float:
 
 def recover_bank_functions(oracle, geom, cfg: ProbeConfig = ProbeConfig()) -> list[int]:
     rng = random.Random(cfg.seed)
-    space = geom.address_space
     diffs: list[int] = []
     good_bases = 0
     batch = getattr(oracle, "latencies", None)
     for _ in range(cfg.num_bases):
-        base = rng.randrange(space)
-        partners = [rng.randrange(space) for _ in range(cfg.partners_per_base)]
+        base = rng.getrandbits(geom.address_bits)
+        partners = [rng.getrandbits(geom.address_bits) for _ in range(cfg.partners_per_base)]
         lats = batch(base, partners) if batch else [oracle(base, p) for p in partners]
         try:
             thr = timing_threshold(lats)

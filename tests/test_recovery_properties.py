@@ -1,7 +1,7 @@
 """Bank-map recovery against a reference copy of its earlier code.
 
-``reference_recovery`` draws partners with ``randrange`` and decides each
-base with ``statistics``; the library draws in C and gives a constant
+``reference_recovery`` draws each address in a Python loop and decides
+each base with ``statistics``; the library draws in C and gives a constant
 class its spread of 0.0 without ``statistics``. Both must give the same
 masks, or the same error.
 """
@@ -10,10 +10,11 @@ import itertools
 import math
 import random
 import statistics
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import reference_recovery as reference
 from criteria import random_mapping
@@ -54,6 +55,34 @@ def outcome(recover, module, oracle, geom, cfg):
             return (RecoveryError, str(e)), rows
 
 
+class CountingRandom(random.Random):
+    """A ``random.Random`` that records the width of each ``getrandbits`` call."""
+
+    def __init__(self, seed):
+        self.widths = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        return super().getrandbits(k)
+
+
+class PairRecorder:
+    """A plain oracle that records each pair it is asked about."""
+
+    def __init__(self):
+        self.asked = []
+
+    def __call__(self, a, b):
+        self.asked.append((a, b))
+        return 150.0 if ((a ^ b) & 0b110).bit_count() % 2 == 0 else 50.0
+
+
+class BatchRecorder(PairRecorder):
+    def latencies(self, base, partners):
+        return [self(base, p) for p in partners]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_recovery_matches_the_reference(data):
@@ -77,10 +106,9 @@ def test_a_partner_equal_to_its_base_adds_no_row():
     # a pair of equal addresses is slow here, yet it is no conflict to solve for
     geom = GEOMETRIES[-1]
     cfg = ProbeConfig(num_bases=4, partners_per_base=64, seed=0)
-
-    def oracle(a, b):
-        return 150.0 if ((a ^ b) & 0b110).bit_count() % 2 == 0 else 50.0
+    oracle = PairRecorder()
     masks, rows = outcome(recover_bank_functions, gf2, oracle, geom, cfg)
+    assert any(a == b for a, b in oracle.asked), "the seed draws no partner equal to its base"
     assert masks == [0b110] and 0 not in rows[0]
     assert (masks, rows) == outcome(reference.recover_bank_functions, reference, oracle, geom, cfg)
 
@@ -162,16 +190,24 @@ def test_latencies_whose_sums_overflow_are_a_refusal(toy_geom, values):
                                ProbeConfig(num_bases=4, partners_per_base=8))
 
 
-SPACES = st.one_of(st.integers(1, 2**70), st.builds(lambda e: 2**e, st.integers(0, 70)))
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(GEOMETRIES), st.integers(0, 2**64), st.integers(4, 8),
+       st.integers(2, 64), st.sampled_from([PairRecorder, BatchRecorder]))
+def test_each_address_is_one_getrandbits_draw(geom, seed, num_bases, partners, recorder):
+    made = []
 
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2**64), SPACES, st.integers(0, 40))
-@example(0, 2**36, 0)
-@example(0, 1, 5)
-@example(7, 2**36, 512)
-def test_partner_draws_are_the_randrange_draws(seed, space, n):
-    rng, want = random.Random(seed), random.Random(seed)
-    assert list(itertools.islice(geometry._randranges(rng, space), n)) == \
-        [want.randrange(space) for _ in range(n)]
-    assert rng.getstate() == want.getstate()
+    def counting(x):
+        made.append(CountingRandom(x))
+        return made[-1]
+    oracle = recorder()
+    cfg = ProbeConfig(num_bases=num_bases, partners_per_base=partners, seed=seed)
+    with mock.patch.object(geometry, "random", SimpleNamespace(Random=counting)):
+        try:
+            recover_bank_functions(oracle, geom, cfg)
+        except RecoveryError:
+            pass
+    want = random.Random(seed)
+    draws = [want.getrandbits(geom.address_bits) for _ in range(num_bases * (1 + partners))]
+    blocks = [draws[i:i + 1 + partners] for i in range(0, len(draws), 1 + partners)]
+    assert oracle.asked == [(base, p) for base, *rest in blocks for p in rest]
+    assert [m.widths for m in made] == [[geom.address_bits] * len(draws)]
