@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import struct
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
@@ -110,14 +111,25 @@ class NoiseConfig:
                 raise DeviceError(f"{f.name} must be finite, got {getattr(self, f.name)}")
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int (``operator.index``, so a bool or an int subclass
+    is its int); a float or any other non-integer raises DeviceError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DeviceError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _absorb(h, parts):
     """Feed tagged ints and strings into a PRF state; returns the state."""
     try:
         for p in parts:
-            if isinstance(p, str):
+            if type(p) is int:
+                h.update(b"i" + p.to_bytes(17, "little", signed=True))
+            elif isinstance(p, str):
                 h.update(b"s" + p.encode())
             else:
-                h.update(b"i" + int(p).to_bytes(17, "little", signed=True))
+                h.update(b"i" + _integer(p, "seed").to_bytes(17, "little", signed=True))
     except OverflowError:
         raise DeviceError("seed does not fit the PRF's 17-byte signed encoding") from None
     return h
@@ -145,6 +157,10 @@ def _stream_state(*parts, prefix=_STREAM_EMPTY):
     return _absorb(prefix.copy(), parts)
 
 
+# every row draw's head starts with this tag
+_ROW_PREFIX = _stream_state("row")
+
+
 def _stream(state, index: int) -> tuple[int, ...]:
     """The sixteen 32-bit words of the stream at ``index`` after ``state``.
 
@@ -152,7 +168,14 @@ def _stream(state, index: int) -> tuple[int, ...]:
     are those of the keyed 64-byte digest of ``(*head, index)``; ``state``
     is copied, not changed.
     """
-    return _WORDS(_absorb(state.copy(), (index,)).digest())
+    h = state.copy()
+    if type(index) is int:  # _absorb's int case, written out for the hot path
+        try:
+            h.update(b"i" + index.to_bytes(17, "little", signed=True))
+            return _WORDS(h.digest())
+        except OverflowError:
+            pass  # h is unchanged, and _absorb raises the error
+    return _WORDS(_absorb(h, (index,)).digest())
 
 
 def _normal(words) -> float:
@@ -174,6 +197,8 @@ class SimDevice:
     noise: NoiseConfig
 
     def __post_init__(self):
+        for name in ("dimm_seed", "host_seed"):
+            _integer(getattr(self, name), name)
         check_consistent(self.mapping, self.geom)  # keeps the pair's layout for phys_to_dram
 
     @cached_property
@@ -216,11 +241,16 @@ class SimDevice:
             cells = self._row_cells[bank, row] = self._draw_cells(bank, row)
         return cells
 
-    def _draw_cells(self, bank: int, row: int) -> tuple[int, int, int, list]:
+    @cached_property
+    def _cell_cuts(self) -> tuple[int, int]:
+        """``(cell_cut, marginal_cut)``: a row draw's cuts for a susceptible
+        cell and for a marginal one."""
         p_cell = min(1.0, self.noise.susceptibility_density * self.density_factor / SUPPORT_BLOCK)
-        cell_cut = math.ceil(p_cell * 2**32)
-        marginal_cut = math.ceil(self.noise.marginal_fraction * 2**31)
-        state = _stream_state("row", self.device_key, bank, row)
+        return math.ceil(p_cell * 2**32), math.ceil(self.noise.marginal_fraction * 2**31)
+
+    def _draw_cells(self, bank: int, row: int) -> tuple[int, int, int, list]:
+        cell_cut, marginal_cut = self._cell_cuts
+        state = _stream_state(self.device_key, bank, row, prefix=_ROW_PREFIX)
         susceptible = polarity = marginal = 0
         for bit, draw, kind in zip(_BITS, _stream(state, 0), _stream(state, 1)):
             if draw < cell_cut:

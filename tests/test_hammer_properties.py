@@ -20,6 +20,7 @@ PRF calls, and to the same calls however many measurements follow the
 last one it needs.
 """
 
+import dataclasses
 import hashlib
 import struct
 from contextlib import contextmanager
@@ -258,6 +259,41 @@ def test_row_draw_matches_reference(setup, data):
         assert type(got) is tuple and list(map(type, got)) == [int, int, int, list]
         assert all(0 <= mask < 1 << sd.SUPPORT_BLOCK for mask in got[:3])
         assert got[3] == [None] * sd.SUPPORT_BLOCK
+
+
+# the PRF's 17-byte signed field holds exactly these ints
+FIELD_INTS = st.one_of(st.integers(-2**135, 2**135 - 1), st.sampled_from([-2**135, 2**135 - 1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.text(), FIELD_INTS, st.booleans()), max_size=4),
+       st.one_of(FIELD_INTS, st.booleans()))
+def test_stream_and_prf_match_the_reference(head, index):
+    # the library's draw primitive and its fast int path against the test's
+    # own construction, over the whole field, and refusing one past each end
+    state = sd._stream_state(*head)
+    assert sd._stream(state, index) == reference_stream(*head, index)
+    assert sd._prf(*head, index) == reference_prf(*head, index)
+    for wide in (-2**135 - 1, 2**135):
+        with pytest.raises(sd.DeviceError, match="^seed does not fit"):
+            sd._stream(state, wide)
+        with pytest.raises(sd.DeviceError, match="^seed does not fit"):
+            sd._prf(*head, wide)
+    # the state is copied, never changed
+    assert sd._stream(state, index) == reference_stream(*head, index)
+
+
+def test_row_draw_cuts_belong_to_the_device():
+    # a device's row cuts follow its own noise, so a twin with other noise,
+    # made after the first device drew its rows, must draw its rows afresh
+    dev = sd.new_sim_device(11, 12)
+    sd.run_query(dev, default_challenge(), 13)
+    for density, fraction in ((40.0, 0.2), (2.0, 1.0), (0.0, 0.0)):
+        twin = dataclasses.replace(dev, noise=sd.NoiseConfig(
+            susceptibility_density=density, marginal_fraction=fraction))
+        for bank, row in ((0, 0), (1, 5), (3, 17)):
+            assert expand_cells(twin, bank, row) == reference_cells(twin, bank, row)
+            assert expand_cells(dev, bank, row) == reference_cells(dev, bank, row)
 
 
 @settings(max_examples=40, deadline=None)

@@ -90,6 +90,29 @@ class TestConfigValidation:
                 run_query(new_sim_device(dimm_seed, 2), ch, query_seed)
         assert run_query(new_sim_device(2**135 - 1, -2**135), ch, 2**135 - 1).locations
 
+    def test_non_integer_seed_is_device_error(self):
+        # int() would truncate 1.9 into device 1's seed and draw device 1's
+        # flips; a device, measurement or timing seed must be an integer
+        ch = default_challenge()
+        for dimm_seed, host_seed in ((1.9, 2), (1, 2.0), ("1", 2), (None, 2)):
+            with pytest.raises(DeviceError, match="seed must be an integer"):
+                new_sim_device(dimm_seed, host_seed)
+        dev = new_sim_device(1, 2)
+        for seed in (3.2, 3.0, None):
+            with pytest.raises(DeviceError, match="seed must be an integer"):
+                run_query(dev, ch, seed)
+            with pytest.raises(DeviceError, match="seed must be an integer"):
+                hammer(dev, ch, seed)
+            with pytest.raises(DeviceError, match="seed must be an integer"):
+                make_timing_oracle(dev, seed).latencies(0x1234, [0x5678])
+            with pytest.raises(DeviceError, match="seed must be an integer"):
+                access_time(dev, 0x1234, 0x5678, seed)
+        # a bool is an int, and digests as one
+        assert new_sim_device(True, 2) == dev
+        assert (run_query(new_sim_device(True, 2), ch, True).locations
+                == run_query(dev, ch, 1).locations)
+        assert access_time(dev, 0x1234, 0x5678, True) == access_time(dev, 0x1234, 0x5678, 1)
+
 
 class TestDeterminism:
     def test_identical_inputs_identical_fingerprints(self):
