@@ -10,6 +10,7 @@ work-unit model that keeps the linear scaling in the measurement count.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -62,11 +63,14 @@ class ExperimentReport:
         return max(self._summarized())
 
     def to_delimited(self) -> str:
-        """CSV text: a header line, then one line per row, cells by ``_formats``."""
+        """CSV text: a header line, then one line per row, rendered column by
+        column by ``_rendered``, which formats each distinct cell once."""
         return _delimited(self.columns, self.rows)
 
     def to_table(self, max_rows: int | None = None) -> str:
-        formats = _formats(self.columns, self.rows)
+        # every row is checked, but only the shown ones are formatted
+        formats = [_format(name, map(itemgetter(j), self.rows))
+                   for j, name in enumerate(self.columns)]
         shown = self.rows if max_rows is None else self.rows[:max_rows]
         widths = [len(c) for c in self.columns]
         rendered = [[f.format(v) for f, v in zip(formats, row)] for row in shown]
@@ -88,27 +92,41 @@ class ExperimentReport:
 _FLOAT_CELL = "{:.6g}"
 
 
-def _formats(columns, rows) -> list[str]:
-    """The cell rule: ``_FLOAT_CELL`` for a column of floats, ``{}`` for
-    one of ints or one of strs; any other kind or a mix is refused."""
-    formats = []
-    for j, name in enumerate(columns):
-        kinds = set(map(type, map(itemgetter(j), rows)))
-        if kinds == {float}:
-            formats.append(_FLOAT_CELL)
-        elif kinds in ({int}, {str}, set()):
-            formats.append("{}")
-        else:
-            kinds = ", ".join(sorted(k.__name__ for k in kinds))
-            raise ExperimentError(f"column {name!r} holds {kinds}; a report column holds "
-                                  "only floats, only ints or only strs")
-    return formats
+def _format(name: str, cells) -> str:
+    """The cell rule for column ``name``: ``_FLOAT_CELL`` for floats, ``{}``
+    for ints or for strs; any other kind or a mix is refused."""
+    kinds = set(map(type, cells))
+    if kinds == {float}:
+        return _FLOAT_CELL
+    if kinds in ({int}, {str}, set()):
+        return "{}"
+    kinds = ", ".join(sorted(k.__name__ for k in kinds))
+    raise ExperimentError(f"column {name!r} holds {kinds}; a report column holds "
+                          "only floats, only ints or only strs")
+
+
+def _rendered(fmt: str, col: list) -> list:
+    """A column's cells as text by ``fmt``, its cell rule: a str column as
+    it is, any other with each distinct cell formatted once, unless it is a
+    float column holding a zero (``0.0`` and ``-0.0`` are one dict key)."""
+    if not col or type(col[0]) is str:
+        return col
+    texts = dict.fromkeys(col)
+    if type(col[0]) is float and 0.0 in texts:
+        return list(map(fmt.format, col))
+    texts = dict(zip(texts, map(fmt.format, texts)))
+    return list(map(texts.__getitem__, col))
 
 
 def _delimited(columns, rows) -> str:
-    """CSV text of ``columns`` and ``rows``: each row by one template."""
-    render = ",".join(_formats(columns, rows)).format
-    return "\n".join([",".join(columns), *itertools.starmap(render, rows)]) + "\n"
+    """CSV text of ``columns`` and ``rows``, rendered column by column."""
+    texts = [list(map(itemgetter(j), rows)) for j in range(len(columns))]
+    # every column passes the cell rule before any is rendered, so a bad
+    # column raises ExperimentError even beside an int too long for str
+    for j, fmt in enumerate(list(map(_format, columns, texts))):
+        texts[j] = _rendered(fmt, texts[j])
+    lines = map(",".join, zip(*texts)) if texts else itertools.repeat("", len(rows))
+    return "\n".join([",".join(columns), *lines]) + "\n"
 
 
 def _make_queries(dev: SimDevice, ch: DramChallenge, seed: int, n: int,
@@ -129,20 +147,24 @@ def _pairing_values(new_queries: list[Fingerprint],
 
     Each row is ``(label, i, len(new_queries[i].locations), value)``, the
     reliability report's row, where ``label`` joins the database draw's
-    indices by "+". With ``exclude_self`` both pools are the same query
-    list and the new query never appears in its own database draw. Rows
-    come grouped by combination, and each combination, or each run of
-    one in a sample of the flat case list, is scored and labelled in one
-    pass: its database mask is ORed and its label joined once.
+    indices by "+". With ``exclude_self`` both pools are one query list
+    (pools of different lengths raise ``ExperimentError`` before the pool
+    checks) and the new query never appears in its own database draw, so
+    the case count is ``comb(n, d_size) * (n - d_size)``. Only a count
+    above ``max_cases`` builds the flat case list, to sample it. Rows come
+    grouped by combination, and each combination, or each run of one in a
+    sample, is scored and labelled in one pass: its database mask is ORed,
+    its label joined and its own queries skipped inline.
 
     The overlaps are counted on bits. Each distinct location of either
     pool gets its own bit number, once per call, so a query becomes one
     ``int`` with the bits of its locations set and a drawn database is
     the OR of its members' ints. Distinct locations have distinct bits,
     so the popcount of ``new & database`` is exactly
-    ``len(new.locations & union.locations)`` and each value is the same
-    float ``jaccard_prime`` returns. One list as both pools has its ints
-    made once.
+    ``len(new.locations & union.locations)``. Each value is the same
+    float ``jaccard_prime`` returns, taken from a table of ``c / size``
+    per new query, so rows with the same count share one float. One list
+    as both pools has its ints made once.
 
     Both pools are checked once, before any case is scored: a database
     pool of mixed challenges raises, then the first new query that is
@@ -153,6 +175,8 @@ def _pairing_values(new_queries: list[Fingerprint],
     if max_cases < 1:
         raise ExperimentError("max_cases must be at least 1")
     n_db = len(db_queries)
+    if exclude_self and len(new_queries) != n_db:
+        raise ExperimentError("exclude_self needs one pool: as many new as database queries")
     if d_size > n_db - (1 if exclude_self else 0):
         raise ExperimentError("insufficient queries for the requested database size")
     # The check goes through the set formula itself, so a faulty pool raises
@@ -162,12 +186,14 @@ def _pairing_values(new_queries: list[Fingerprint],
     for fp in new_queries:
         jaccard_prime(fp, pool)
     every = range(len(new_queries))
-    groups = [(combo, [i for i in every if i not in combo] if exclude_self else every)
-              for combo in itertools.combinations(range(n_db), d_size)]
-    if sum(len(run) for _, run in groups) > max_cases:
-        cases = rng.sample([(combo, i) for combo, run in groups for i in run], max_cases)
+    combos = itertools.combinations(range(n_db), d_size)
+    if math.comb(n_db, d_size) * (len(every) - (d_size if exclude_self else 0)) > max_cases:
+        cases = rng.sample([(combo, i) for combo in combos for i in every
+                            if not (exclude_self and i in combo)], max_cases)
         groups = ((combo, [i for _, i in run])
                   for combo, run in itertools.groupby(cases, key=itemgetter(0)))
+    else:
+        groups = zip(combos, itertools.repeat(every))
     bit_of: dict = {}  # location -> its bit number
 
     def bits_of(fp: Fingerprint) -> int:
@@ -176,13 +202,16 @@ def _pairing_values(new_queries: list[Fingerprint],
     new_bits = [bits_of(fp) for fp in new_queries]
     db_bits = new_bits if db_queries is new_queries else [bits_of(fp) for fp in db_queries]
     sizes = [len(fp.locations) for fp in new_queries]
+    ratios = [[c / size for c in range(size + 1)] for size in sizes]
     rows = []
     for combo, run in groups:
         mask = 0
         for k in combo:
             mask |= db_bits[k]
         label = "+".join(map(str, combo))
-        rows += [(label, i, sizes[i], (new_bits[i] & mask).bit_count() / sizes[i]) for i in run]
+        own = combo if exclude_self else ()
+        rows += [(label, i, sizes[i], ratios[i][(new_bits[i] & mask).bit_count()])
+                 for i in run if i not in own]
     return rows
 
 

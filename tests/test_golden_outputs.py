@@ -225,3 +225,23 @@ def test_pickled_warm_device_gives_the_same_fingerprint_in_a_child(tmp_path):
     blob = pickle.dumps(dev)
     for stdout, _ in run_under_hash_seeds(tmp_path, QUERY_PICKLED_DEVICE, blob):
         assert stdout == want
+
+
+# scripts/golden.py prints these same digests under each interpreter it is
+# given; under this one it must give exactly the pinned values above
+GOLDEN_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "golden.py"
+
+
+def test_golden_script_gives_every_pinned_digest():
+    done = subprocess.run([sys.executable, str(GOLDEN_SCRIPT), "--json"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    (python, digests), = json.loads(done.stdout).items()
+    assert python == sys.version.split()[0] + " -O" * sys.flags.optimize
+    assert digests == {
+        **{f"file {name}": digest for name, digest in {**GOLDEN, **GOLDEN_REPORTS}.items()},
+        **{f"stdout eval {name}": digest for name, digest in GOLDEN_TABLES.items()},
+        "stdout --format delimited eval tradeoff": GOLDEN["tradeoff.csv"],
+        **{f"dataset {path}": digest for path, digest in GOLDEN_DATASET.items()},
+        "transcript": hashlib.sha256(json.dumps(GOLDEN_TRANSCRIPT).encode()).hexdigest(),
+    }

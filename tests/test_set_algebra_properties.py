@@ -215,6 +215,17 @@ def test_pairings_check_each_pool_once_sampled_or_not(monkeypatch, max_cases, ex
     assert all(args[0] is q for (_, args), q in zip(rest, new_qs))
 
 
+@pytest.mark.parametrize("n_new", [4, 7])
+def test_exclude_self_refuses_pools_of_different_lengths_before_scoring(monkeypatch, n_new):
+    # the case count is exact only when the new queries are the database pool
+    qs = seven_queries()
+    for name in ("union_of", "jaccard_prime"):
+        monkeypatch.setattr(evalharness, name, lambda *args: pytest.fail("scored"))
+    new_qs, db_qs = qs[:n_new], qs[:11 - n_new]
+    with pytest.raises(ExperimentError, match="exclude_self needs one pool"):
+        _pairing_values(new_qs, db_qs, 3, random.Random(0), 25000, exclude_self=True)
+
+
 OTHER = "b" * 64
 
 
@@ -298,10 +309,11 @@ refused_kinds = {"bool": st.booleans(), "Ratio": floats.map(Ratio)}
 cell_kinds = {**column_kinds, **refused_kinds}
 
 
-def report_of(columns: list[list]) -> ExperimentReport:
-    rows = list(zip(*columns))
+def report_of(columns: list[list], n: int) -> ExperimentReport:
+    """A report of ``n`` rows holding ``columns``, which may be none."""
+    rows = list(zip(*columns)) if columns else [()] * n
     return ExperimentReport("t", tuple(f"c{j}" for j in range(len(columns))), rows,
-                            [0.0] * len(rows))
+                            [0.0] * n)
 
 
 @st.composite
@@ -315,7 +327,7 @@ def columns_of_one_kind(draw, n, min_columns):
 @st.composite
 def reports(draw):
     n = draw(st.integers(0, 8))
-    return report_of(draw(columns_of_one_kind(n, 1)))
+    return report_of(draw(columns_of_one_kind(n, 0)), n)
 
 
 @st.composite
@@ -334,7 +346,7 @@ def refused_reports(draw):
         cells = draw(st.lists(refused_kinds[bad], min_size=n, max_size=n))
     j = draw(st.integers(0, len(columns)))
     columns.insert(j, cells)
-    return report_of(columns), f"c{j}"
+    return report_of(columns, n), f"c{j}"
 
 
 @settings(max_examples=200, deadline=None)
@@ -348,6 +360,28 @@ def test_delimited_is_each_cell_rendered_on_its_own(report):
                                    [tuple(map(cell, row)) for row in report.rows],
                                    report.values)
         assert report.to_table() == as_text.to_table()
+
+
+def test_a_float_column_holding_a_zero_keeps_the_sign_of_each_zero():
+    # 0.0 and -0.0 are one dict key, but their texts differ
+    nan = float("nan")
+    report = report_of([[0.0, -0.0, nan, nan], [7, 7, 7, 7]], 4)
+    assert report.to_delimited() == delimited_by_cell(report) == "c0,c1\n0,7\n-0,7\nnan,7\nnan,7\n"
+    report = report_of([[-0.0, 1.5, 0.0], [0.0, 0.0, -0.0]], 3)
+    assert report.to_delimited() == delimited_by_cell(report) == "c0,c1\n-0,0\n1.5,0\n0,-0\n"
+
+
+def test_every_column_is_checked_before_any_is_rendered():
+    # str() refuses an int this long (CPython's digit limit); column b is named first
+    report = ExperimentReport("t", ("a", "b"), [(10**5000, True)], [0.0])
+    for render in (report.to_delimited, report.to_table):
+        with pytest.raises(ExperimentError, match="column 'b' holds bool"):
+            render()
+
+
+def test_a_report_of_no_columns_writes_one_empty_line_per_row():
+    report = ExperimentReport("t", (), [(), ()], [0.0, 0.0])
+    assert report.to_delimited() == delimited_by_cell(report) == "\n\n\n"
 
 
 @settings(max_examples=200, deadline=None)
